@@ -1,19 +1,25 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
-import repro.lake.{LakeDf, LakeTable}
+import org.apache.spark.sql.types._
+import repro.lake.LakeTable
 import repro.lsh.{MinHash, RandomProjection}
-import repro.stats.KolmogorovSmirnov
+import repro.stats.{Ccdf, KolmogorovSmirnov}
 
-/** The D³L discovery pipeline (§III): LSH similarity join → per-pair
-  * distance estimates → CCDF weights (Eq. 2) → per-(table, evidence)
-  * aggregation (Eq. 1) → weighted Euclidean score (Eq. 3) → ranking.
+/** The D³L discovery pipeline (§III): LSH bucket probe → per-pair distance
+  * estimates → CCDF weights (Eq. 2) → per-(table, evidence) aggregation
+  * (Eq. 1) → weighted Euclidean score (Eq. 3) → ranking.
+  *
+  * Indexes are built on Spark ([[index]]); queries run in plain Scala
+  * against the driver-resident [[ServingIndex]] and start no Spark job.
   */
 object D3L {
 
-  /** Result of one (batched) discovery query.
+  /** Result of one (batched) discovery query, as local DataFrames.
     *  - ranking:     t_table, s_table, dN..dD, score, rank (1 = most related)
     *  - alignments:  t_table, t_col, s_table, s_col, best_dist
     *  - tablePairs:  t_table, s_table — "some index relates S to T", the
@@ -24,143 +30,113 @@ object D3L {
   /** Distance from two signatures given the evidence type: Jaccard estimate
     * for ℕ/𝕍/𝔽, cosine estimate for 𝔼, both mapped to [0,1] distances.
     */
-  private val distUdf = udf((ev: String, a: Seq[Long], b: Seq[Long]) => {
-    val aa = a.toArray; val bb = b.toArray
-    ev match {
-      case "E" => math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(aa, bb)))
-      case _   => 1.0 - MinHash.estimateJaccard(aa, bb)
-    }
-  })
+  def distance(evidence: String, a: Array[Long], b: Array[Long]): Double =
+    if (evidence == Evidence.E) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
+    else 1.0 - MinHash.estimateJaccard(a, b)
 
-  private val ksUdf = udf((a: Seq[Double], b: Seq[Double]) =>
-    KolmogorovSmirnov.statisticSorted(a.toArray, b.toArray))
-
-  /** Build the lake indexes. */
-  def index(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig()): LakeIndexes =
-    FeatureExtraction.extract(spark, lakeLong, cfg).cacheAll()
+  /** Build the lake indexes on Spark and collect their serving form. */
+  def index(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig()): LakeIndexes = {
+    val idx = FeatureExtraction.extract(spark, lakeLong, cfg).cacheAll()
+    idx.serving.embeddings
+    idx
+  }
 
   /** Batched query: each of `targetIds` (lake members) against the whole
     * lake, reusing their stored signatures; self-matches excluded.
     */
   def queryAll(spark: SparkSession, idx: LakeIndexes, targetIds: Seq[String],
                cfg: D3LConfig = D3LConfig()): QueryResult = {
-    import spark.implicits._
-    val targets = targetIds.toDF("table_id")
-    val tView = LakeIndexes(
-      catalog = idx.catalog.join(targets, "table_id"),
-      signatures = idx.signatures.join(targets, "table_id"),
-      buckets = idx.buckets.join(targets, "table_id"),
-      numericProfiles = idx.numericProfiles.join(targets, "table_id"),
-      subjects = idx.subjects.join(targets, "table_id"),
-      tokenEmbeddings = idx.tokenEmbeddings,
-    )
-    queryWith(spark, tView, idx, cfg)
+    val lake = idx.serving
+    search(spark, lake.tables(targetIds), lake.subjects, lake, cfg)
   }
 
   /** Single-target query for a table that may not be in the lake: features
-    * are extracted fresh (including the paper's query-time representation
-    * cost), embeddings reused from the lake model. `excludeId` drops the
-    * lake copy of the target when querying with a lake member.
+    * are extracted on the driver (the paper's query-time representation
+    * cost) with the lake's embeddings. `excludeId` drops a lake table (e.g.
+    * the lake copy of the target) before weighting and ranking.
     */
   def queryTable(spark: SparkSession, idx: LakeIndexes, target: LakeTable,
                  cfg: D3LConfig = D3LConfig(), excludeId: Option[String] = None): QueryResult = {
-    val tLong = LakeDf.toLong(spark, Seq(target))
-    val tIdx = FeatureExtraction.extract(spark, tLong, cfg, reuseEmbeddings = Some(idx.tokenEmbeddings))
-    val res = queryWith(spark, tIdx, idx, cfg)
-    excludeId match {
-      case Some(ex) =>
-        QueryResult(
-          res.ranking.filter(col("s_table") =!= ex),
-          res.alignments.filter(col("s_table") =!= ex),
-          res.tablePairs.filter(col("s_table") =!= ex))
-      case None => res
-    }
+    val lake = idx.serving
+    val t = ServingIndex.of(Seq(FeatureExtraction.extractTable(target, cfg, lake.embeddings.get)))
+    search(spark, t.attrs, t.subjects, lake, cfg, excludeId.toSet)
   }
 
-  /** Core pipeline: target-side index view vs lake-side indexes. */
-  def queryWith(spark: SparkSession, t: LakeIndexes, s: LakeIndexes,
-                cfg: D3LConfig): QueryResult = {
-    import spark.implicits._
+  /** Target-side indexes vs lake-side indexes, both served from the driver. */
+  def queryWith(spark: SparkSession, t: LakeIndexes, s: LakeIndexes, cfg: D3LConfig): QueryResult =
+    search(spark, t.serving.attrs, t.serving.subjects, s.serving, cfg)
 
-    val tBuckets = t.buckets.select(
-      $"evidence", $"band", $"bucket", $"attr" as "t_attr", $"table_id" as "t_table")
-    val sBuckets = s.buckets.select(
-      $"evidence", $"band", $"bucket", $"attr" as "s_attr", $"table_id" as "s_table")
+  /** One attribute pair with its distance under one evidence type. */
+  private final case class Pair(evidence: String, t: ServedAttr, s: ServedAttr, dist: Double)
 
-    // LSH similarity join: shared (band, bucket) membership = candidate pair.
-    val collided = tBuckets.join(sBuckets, Seq("evidence", "band", "bucket"))
-      .filter($"t_table" =!= $"s_table")
-      .select("evidence", "t_attr", "t_table", "s_attr", "s_table")
-      .distinct()
-
-    val tSig = t.signatures.select($"attr" as "t_attr", $"evidence", $"sig" as "t_sig")
-    val sSig = s.signatures.select($"attr" as "s_attr", $"evidence", $"sig" as "s_sig")
-    val textPairs = collided
-      .join(tSig, Seq("t_attr", "evidence"))
-      .join(sSig, Seq("s_attr", "evidence"))
-      .withColumn("dist", distUdf($"evidence", $"t_sig", $"s_sig"))
-      .select("evidence", "t_table", "t_attr", "s_table", "s_attr", "dist")
-      .cache()
+  /** The query pipeline: `targets` (with subject attributes `tSubjects`)
+    * against `lake`. Tables in `exclude`, and every target's own table, are
+    * dropped at the probe, before any weighting.
+    */
+  private def search(spark: SparkSession, targets: Seq[ServedAttr], tSubjects: Set[String],
+                     lake: ServingIndex, cfg: D3LConfig, exclude: Set[String] = Set.empty): QueryResult = {
+    // ---- LSH probe: a shared (evidence, band, bucket) = candidate pair -----
+    val text = mutable.ArrayBuffer.empty[Pair]
+    targets.foreach { t =>
+      val seen = mutable.HashSet.empty[(String, String)]
+      t.buckets.foreach { k =>
+        lake.probe(k).foreach { s =>
+          if (s.tableId != t.tableId && !exclude.contains(s.tableId) && seen.add((k.evidence, s.attr)))
+            for (a <- t.signatures.get(k.evidence); b <- s.signatures.get(k.evidence))
+              text += Pair(k.evidence, t, s, distance(k.evidence, a, b))
+        }
+      }
+    }
+    val tablePairs = text.iterator.map(p => (p.t.tableId, p.s.tableId)).distinct.toVector
 
     // ---- Algorithm 2: guarded KS distances for numeric pairs ---------------
-    val tSubj = t.subjects.select($"attr" as "t_attr").withColumn("t_is_subj", lit(true))
-    val sSubj = s.subjects.select($"attr" as "s_attr").withColumn("s_is_subj", lit(true))
-    val saRelatedTables = textPairs
-      .join(tSubj, "t_attr").join(sSubj, "s_attr")
-      .select("t_table", "s_table").distinct()
-      .withColumn("sa_ok", lit(true))
-    val nfAttrPairs = textPairs
-      .filter($"evidence".isin(Evidence.N, Evidence.F))
-      .select("t_attr", "s_attr").distinct()
-      .withColumn("nf_ok", lit(true))
-
-    val candTablePairs = textPairs.select("t_table", "s_table").distinct().cache()
-
-    val tNum = t.numericProfiles.select(
-      $"attr" as "t_attr", $"table_id" as "t_table", $"sample" as "t_sample")
-    val sNum = s.numericProfiles.select(
-      $"attr" as "s_attr", $"table_id" as "s_table", $"sample" as "s_sample")
-    val dPairs = candTablePairs
-      .join(tNum, "t_table")
-      .join(sNum, "s_table")
-      .join(saRelatedTables, Seq("t_table", "s_table"), "left")
-      .join(nfAttrPairs, Seq("t_attr", "s_attr"), "left")
-      .filter(coalesce($"sa_ok", lit(false)) || coalesce($"nf_ok", lit(false)))
-      .withColumn("evidence", lit(Evidence.D))
-      .withColumn("dist", ksUdf($"t_sample", $"s_sample"))
-      .select("evidence", "t_table", "t_attr", "s_table", "s_attr", "dist")
-
-    val pairs = textPairs.unionByName(dPairs)
+    val saRelated = text.iterator
+      .filter(p => tSubjects.contains(p.t.attr) && lake.isSubject(p.s))
+      .map(p => (p.t.tableId, p.s.tableId)).toSet
+    val nfAttrPairs = text.iterator
+      .filter(p => p.evidence == Evidence.N || p.evidence == Evidence.F)
+      .map(p => (p.t.attr, p.s.attr)).toSet
+    val tNumeric = targets.filter(_.sample.isDefined).groupBy(_.tableId)
+    val numeric = tablePairs.flatMap { case (tt, st) =>
+      val sa = saRelated.contains((tt, st))
+      for {
+        t <- tNumeric.getOrElse(tt, Nil)
+        s <- lake.numeric(st)
+        if sa || nfAttrPairs.contains((t.attr, s.attr))
+      } yield Pair(Evidence.D, t, s, KolmogorovSmirnov.statisticSorted(t.sample.get, s.sample.get))
+    }
+    val pairs = (text ++ numeric).toIndexedSeq
 
     // ---- Eq. 2: CCDF weights over R_t per (evidence, target attribute) ----
-    val wAttr = Window.partitionBy("evidence", "t_attr")
-    val weighted = pairs
-      .withColumn("cume", cume_dist().over(wAttr.orderBy($"dist")))
-      .withColumn("n", count(lit(1)).over(wAttr))
-      .withColumn("n_eq", count(lit(1)).over(Window.partitionBy("evidence", "t_attr", "dist")))
-      .withColumn("w", greatest(lit(repro.stats.Ccdf.Epsilon),
-        lit(1.0) - $"cume" + lit(0.5) * $"n_eq" / $"n"))
+    val w = new Array[Double](pairs.size)
+    pairs.indices.groupBy(i => (pairs(i).evidence, pairs(i).t.attr)).valuesIterator.foreach { is =>
+      Ccdf.weights(is.map(pairs(_).dist)).iterator.zip(is).foreach { case (wi, i) => w(i) = wi }
+    }
 
     // ---- Eq. 1: per-(table pair, evidence) weighted mean -------------------
-    val eq1 = weighted
-      .groupBy("t_table", "s_table", "evidence")
-      .agg((sum($"w" * $"dist") / sum($"w")) as "dt")
+    val nEv = Evidence.all.size
+    val evIdx = Evidence.all.zipWithIndex.toMap
+    val sums = mutable.LinkedHashMap.empty[(String, String), Array[Double]] // Σw·d then Σw
+    pairs.indices.foreach { i =>
+      val p = pairs(i)
+      val acc = sums.getOrElseUpdate((p.t.tableId, p.s.tableId), new Array[Double](2 * nEv))
+      val e = evIdx(p.evidence)
+      acc(e) += w(i) * p.dist
+      acc(nEv + e) += w(i)
+    }
 
-    val dv = eq1.groupBy("t_table", "s_table")
-      .pivot("evidence", Evidence.all)
-      .agg(first($"dt"))
-      .na.fill(1.0, Evidence.all)
-      .withColumnsRenamed(Evidence.all.map(e => e -> s"d$e").toMap)
-
-    // ---- Eq. 3: weighted Euclidean distance to the origin ------------------
-    val w = cfg.evidenceWeights
-    val wSum = Evidence.all.map(w).sum
-    val scoreExpr = sqrt(
-      Evidence.all.map(e => pow(lit(w(e)) * col(s"d$e"), 2.0)).reduce(_ + _) / lit(wSum))
-    val ranking = dv
-      .withColumn("score", scoreExpr)
-      .withColumn("rank", row_number().over(
-        Window.partitionBy("t_table").orderBy($"score".asc, $"s_table".asc)))
+    // ---- Eq. 3: weighted Euclidean distance to the origin, then rank -------
+    val ew = Evidence.all.map(cfg.evidenceWeights).toIndexedSeq
+    val wSum = ew.sum
+    val scored = sums.toSeq.map { case ((tt, st), acc) =>
+      val d = (0 until nEv).map(e => if (acc(nEv + e) > 0) acc(e) / acc(nEv + e) else 1.0)
+      val score = math.sqrt((0 until nEv).map(e => math.pow(ew(e) * d(e), 2.0)).reduce(_ + _) / wSum)
+      (tt, st, d, score)
+    }
+    val ranking = scored.groupBy(_._1).valuesIterator.flatMap { rows =>
+      rows.sortBy(r => (r._4, r._2))(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.String))
+        .zipWithIndex.map { case ((tt, st, d, score), i) => Row.fromSeq(Seq[Any](tt, st) ++ d :+ score :+ (i + 1)) }
+    }.toVector
 
     // ---- attribute alignments (coverage / join-path machinery) -------------
     // An attribute pair counts as *aligned* only when some evidence distance
@@ -170,14 +146,32 @@ object D3L {
     // attribute precision (§V-E) are defined over returned alignments, so
     // they use the thresholded set.
     val alignments = pairs
-      .withColumn("t_col", split($"t_attr", "#").getItem(1).cast("int"))
-      .withColumn("s_col", split($"s_attr", "#").getItem(1).cast("int"))
-      .groupBy("t_table", "t_col", "s_table", "s_col")
-      .agg(min($"dist") as "best_dist")
-      .filter($"best_dist" <= lit(1.0) - lit(cfg.tau))
+      .groupMapReduce(p => (p.t.tableId, p.t.colIdx, p.s.tableId, p.s.colIdx))(_.dist)(math.min)
+      .iterator.collect { case ((tt, tc, st, sc), d) if d <= 1.0 - cfg.tau => Row(tt, tc, st, sc, d) }
+      .toVector
 
-    QueryResult(ranking, alignments, candTablePairs.select("t_table", "s_table"))
+    QueryResult(local(spark, rankingSchema, ranking), local(spark, alignmentSchema, alignments),
+      local(spark, pairSchema, tablePairs.map { case (tt, st) => Row(tt, st) }))
   }
+
+  private val rankingSchema = StructType(
+    Seq(StructField("t_table", StringType, nullable = false), StructField("s_table", StringType, nullable = false)) ++
+      Evidence.all.map(e => StructField(s"d$e", DoubleType, nullable = false)) ++
+      Seq(StructField("score", DoubleType, nullable = false), StructField("rank", IntegerType, nullable = false)))
+
+  private val alignmentSchema = StructType(Seq(
+    StructField("t_table", StringType, nullable = false), StructField("t_col", IntegerType, nullable = false),
+    StructField("s_table", StringType, nullable = false), StructField("s_col", IntegerType, nullable = false),
+    StructField("best_dist", DoubleType, nullable = false)))
+
+  private val pairSchema = StructType(Seq(
+    StructField("t_table", StringType, nullable = false), StructField("s_table", StringType, nullable = false)))
+
+  /** A local DataFrame: filtering and collecting it runs on the driver
+    * without a Spark job.
+    */
+  private def local(spark: SparkSession, schema: StructType, rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(rows.asJava, schema)
 
   /** Ranking that uses a single evidence type only (Experiment 1): tables
     * with no such evidence rank last (distance 1).

@@ -1,147 +1,160 @@
 package repro.core
 
+import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.Window
+import repro.lake.LakeTable
 import repro.text.{Embeddings, FormatRegex, Tokenizer}
 import repro.lsh.{Banding, MinHash, RandomProjection}
 
-/** Algorithm 1 (index construction) as DataFrame transformations over the
-  * canonical long-format lake (`table_id, col_idx, col_name, row_idx, value`).
+/** Algorithm 1 (index construction).
   *
-  * Per attribute we derive: q-grams of its name (ℕ), the rarest word of every
-  * value part (𝕍, the "informative token" TF/IDF analogue), the format
-  * string of every value (𝔽), the mean embedding of every part's most
-  * frequent word (𝔼), and a sorted numeric sample (𝔻). ℕ/𝕍/𝔽 become MinHash
-  * signatures, 𝔼 a random-projection signature; banding the signatures
-  * yields the bucket DataFrames that *are* the four LSH indexes.
+  * [[extractTable]] is the per-table kernel: per attribute it derives the
+  * q-grams of its name (ℕ), the rarest word of every value part (𝕍, the
+  * "informative token" TF/IDF analogue), the format string of every value
+  * (𝔽), the mean embedding of every part's most frequent word (𝔼), and a
+  * sorted numeric sample (𝔻). ℕ/𝕍/𝔽 become MinHash signatures, 𝔼 a
+  * random-projection signature; banding the signatures yields the buckets
+  * that *are* the four LSH indexes.
+  *
+  * [[extract]] applies the kernel to every table of a long-format lake
+  * (`table_id, col_idx, col_name, row_idx, value`) on Spark; the only
+  * lake-wide aggregation is embedding training. A query target is extracted
+  * on the driver by calling the kernel directly.
   */
 object FeatureExtraction {
 
-  /** Build all indexes for a lake. When `reuseEmbeddings` is given (query
-    * time, for a target table), the lake-trained token embeddings are used
-    * instead of retraining on the (tiny) input.
+  /** One column of a table, values in row order (nullable). */
+  final case class ColumnValues(colIdx: Int, name: String, values: Seq[String])
+
+  /** Attribute id of column `colIdx` of table `tableId`. */
+  def attrId(tableId: String, colIdx: Int): String = s"$tableId#$colIdx"
+
+  /** A value takes part in the indexes when something other than spaces
+    * remains (`length(trim(value)) > 0` in Spark SQL).
+    */
+  private def nonEmpty(v: String): Boolean = v != null && v.exists(_ != ' ')
+
+  /** LSH buckets of one signature under its evidence type's levels. */
+  def bucketsOf(evidence: String, sig: Array[Long]): Seq[(Int, Long)] =
+    Banding.buckets(sig, if (evidence == Evidence.E) Banding.simhashLevels else Banding.minhashLevels)
+
+  /** Fraction of the non-empty `values` that parse as numbers. */
+  private def numericFrac(values: Seq[String]): Double =
+    if (values.isEmpty) 0.0 else values.count(Tokenizer.isNumericValue).toDouble / values.size
+
+  private def isNumeric(values: Seq[String], cfg: D3LConfig): Boolean =
+    values.nonEmpty && numericFrac(values) >= cfg.numericFrac
+
+  /** Algorithm 1 on one lake table, embedding with the lake's model. */
+  def extractTable(t: LakeTable, cfg: D3LConfig, embedding: String => Option[Array[Float]]): TableFeatures =
+    extractTable(t.id, t.columns.zipWithIndex.map { case (c, i) => ColumnValues(i, c.name, c.values) },
+      cfg, embedding)
+
+  /** Algorithm 1 on one table. `embedding` maps a token to its trained
+    * vector (tokens without one do not contribute to 𝔼). Columns without
+    * rows are skipped, as they have no row in the long format.
+    */
+  def extractTable(tableId: String, columns: Seq[ColumnValues], cfg: D3LConfig,
+                   embedding: String => Option[Array[Float]]): TableFeatures = {
+    val cols = columns.filter(_.values.nonEmpty).sortBy(_.colIdx)
+    val sigs = Seq.newBuilder[AttrSignature]
+    val samples = Seq.newBuilder[AttrSample]
+    val profiles = cols.map { c =>
+      val attr = attrId(tableId, c.colIdx)
+      val vals = c.values.filter(nonEmpty)
+      val n = vals.size
+      val numeric = isNumeric(vals, cfg)
+      def sig(ev: String, s: Array[Long]): Unit = sigs += AttrSignature(attr, c.colIdx, ev, s)
+
+      sig(Evidence.N, MinHash.signature(Tokenizer.qgrams(c.name)))
+      if (n > 0) sig(Evidence.F, MinHash.signature(vals.map(FormatRegex.formatString).distinct))
+
+      // 𝕍 / 𝔼 (textual attributes only): per value part, the rarest word
+      // joins the tset T(a) (Alg. 1 l.10), the most frequent is embedded (l.13).
+      val parts = if (numeric) Seq.empty else vals.flatMap(Tokenizer.partWords)
+      val freq = mutable.HashMap.empty[String, Int].withDefaultValue(0)
+      parts.foreach(_.foreach(w => freq(w) += 1))
+      val tset = parts.map(_.minBy(w => (freq(w), w))).distinct
+      if (tset.nonEmpty) sig(Evidence.V, MinHash.signature(tset))
+      val vecs = parts.map(_.minBy(w => (-freq(w), w))).distinct.flatMap(embedding)
+      if (vecs.nonEmpty) sig(Evidence.E, RandomProjection.signature(Embeddings.mean(vecs)))
+
+      if (numeric) {
+        val all = vals.flatMap(Tokenizer.parseNumeric).toArray
+        java.util.Arrays.sort(all)
+        val max = cfg.maxNumericSample
+        samples += AttrSample(attr, c.colIdx,
+          if (all.length <= max) all else Array.tabulate(max)(i => all((i.toLong * all.length / max).toInt)))
+      }
+
+      AttrProfile(
+        attr = attr, tableId = tableId, colIdx = c.colIdx, colName = c.name,
+        nValues = n, nDistinct = vals.distinct.size,
+        nullFrac = (c.values.size - n).toDouble / c.values.size,
+        avgLen = if (n == 0) None else Some(vals.map(v => v.codePointCount(0, v.length).toLong).sum.toDouble / n),
+        numericFrac = numericFrac(vals), isNumeric = numeric, tsetSize = tset.size)
+    }
+    TableFeatures(tableId, profiles, sigs.result(), samples.result(), SubjectAttribute.predict(profiles))
+  }
+
+  /** Embedding-training input of one table: (attr, row, token) for every
+    * word of every non-empty value of its textual attributes, in order.
+    */
+  private def trainingTokens(tableId: String, columns: Seq[ColumnValues], cfg: D3LConfig): Seq[(String, Long, String)] =
+    columns.filterNot(c => isNumeric(c.values.filter(nonEmpty), cfg)).flatMap { c =>
+      val attr = attrId(tableId, c.colIdx)
+      c.values.zipWithIndex.collect { case (v, row) if nonEmpty(v) =>
+        Tokenizer.partWords(v).flatten.map(w => (attr, row.toLong, w))
+      }.flatten
+    }
+
+  /** Build all indexes for a lake: the kernel runs once per table inside a
+    * `groupByKey` on `table_id`. When `reuseEmbeddings` is given (a query
+    * target), the lake-trained token embeddings are used instead of
+    * retraining on the (tiny) input.
     */
   def extract(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig(),
               reuseEmbeddings: Option[DataFrame] = None): LakeIndexes = {
     import spark.implicits._
 
-    val lake = lakeLong
-      .withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
-      .cache()
-
-    // ---- attribute catalog --------------------------------------------------
-    val isNumUdf = udf((v: String) => Tokenizer.isNumericValue(v))
-    val nonEmpty = $"value".isNotNull && length(trim($"value")) > 0
-    val catalog0 = lake
-      .groupBy($"attr", $"table_id", $"col_idx")
-      .agg(
-        first($"col_name")                                       as "col_name",
-        sum(when(nonEmpty, 1L).otherwise(0L))                    as "n_values",
-        countDistinct(when(nonEmpty, $"value"))                  as "n_distinct",
-        avg(when(nonEmpty, 0.0).otherwise(1.0))                  as "null_frac",
-        sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric",
-        avg(when(nonEmpty, length($"value")))                    as "avg_len",
-      )
-      .withColumn("numeric_frac",
-        when($"n_values" > 0, $"n_numeric".cast("double") / $"n_values").otherwise(0.0))
-      .withColumn("is_numeric", $"numeric_frac" >= cfg.numericFrac && $"n_values" > 0)
-      .drop("n_numeric")
-
-    val textualAttrs = catalog0.filter(!$"is_numeric").select("attr")
-
-    // ---- tokenisation (parts → words), textual attributes only --------------
-    val toks = lake
-      .filter(nonEmpty)
-      .select($"attr", $"row_idx", $"value")
-      .join(textualAttrs, "attr")
-      .as[(String, Long, String)]
-      .flatMap { case (attr, row, value) =>
-        Tokenizer.partWords(value).zipWithIndex.flatMap { case (ws, pi) =>
-          ws.map(w => (attr, row, pi, w))
+    val tables = lakeLong
+      .select($"table_id", $"col_idx", $"col_name", $"row_idx", $"value")
+      .as[(String, Int, String, Long, String)]
+      .groupByKey(_._1)
+      .mapGroups { (id, rows) =>
+        val cols = rows.toSeq.groupBy(_._2).toSeq.map { case (ci, rs) =>
+          val sorted = rs.sortBy(_._4)
+          ColumnValues(ci, sorted.head._3, sorted.map(_._5))
         }
+        (id, cols)
       }
-      .toDF("attr", "row_idx", "part_idx", "token")
-
-    val tokFreq = toks.groupBy("attr", "token").agg(count(lit(1)) as "freq")
-    val withFreq = toks.join(tokFreq, Seq("attr", "token"))
-    val wPart = Window.partitionBy("attr", "row_idx", "part_idx")
-    val ranked = withFreq
-      .withColumn("rare_rank", row_number().over(wPart.orderBy($"freq".asc, $"token".asc)))
-      .withColumn("freq_rank", row_number().over(wPart.orderBy($"freq".desc, $"token".asc)))
-      .cache()
-
-    // 𝕍: per part, the rarest word; T(a) = their distinct union (Alg. 1 l.10).
-    val tsetTokens = ranked.filter($"rare_rank" === 1).select("attr", "token").distinct().cache()
-    // 𝔼: per part, the most frequent word is what gets embedded (l.13).
-    val embedTokens = ranked.filter($"freq_rank" === 1).select("attr", "token").distinct()
-
-    val tsetSizes = tsetTokens.groupBy("attr").agg(count(lit(1)) as "tset_size")
-    val catalog = catalog0
-      .join(tsetSizes, Seq("attr"), "left")
-      .na.fill(0L, Seq("tset_size"))
-
-    // ---- ℕ / 𝕍 / 𝔽 MinHash signatures --------------------------------------
-    val sigN = catalog0.select($"attr", $"col_name").as[(String, String)]
-      .map { case (a, n) => (a, Evidence.N, MinHash.signature(Tokenizer.qgrams(n))) }
-
-    val sigV = tsetTokens.as[(String, String)]
-      .groupByKey(_._1)
-      .mapGroups { (attr, it) => (attr, Evidence.V, MinHash.signature(it.map(_._2).toSeq)) }
-
-    val formats = lake
-      .filter(nonEmpty)
-      .select($"attr", $"value").as[(String, String)]
-      .map { case (a, v) => (a, FormatRegex.formatString(v)) }
-      .toDF("attr", "fmt").distinct()
-    val sigF = formats.as[(String, String)]
-      .groupByKey(_._1)
-      .mapGroups { (attr, it) => (attr, Evidence.F, MinHash.signature(it.map(_._2).toSeq)) }
 
     // ---- 𝔼: random-indexing embeddings (DESIGN.md §4.1) --------------------
-    val tokenEmbeddings = reuseEmbeddings.getOrElse(trainEmbeddings(spark, toks))
+    val tokenEmbeddings = reuseEmbeddings.getOrElse {
+      val toks = tables.flatMap { case (id, cols) => trainingTokens(id, cols, cfg) }
+        .toDF("attr", "row_idx", "token")
+      trainEmbeddings(spark, toks).cache()
+    }
+    val vectors = spark.sparkContext.broadcast(
+      tokenEmbeddings.select("token", "vec").as[(String, Array[Float])].collect().toMap)
 
-    val attrVecs = embedTokens
-      .join(tokenEmbeddings, Seq("token"))
-      .select($"attr", $"vec").as[(String, Array[Float])]
-      .groupByKey(_._1)
-      .mapGroups { (attr, it) => (attr, Embeddings.mean(it.map(_._2).toSeq)) }
-    val sigE = attrVecs.map { case (a, v) => (a, Evidence.E, RandomProjection.signature(v)) }
+    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, vectors.value.get) }
 
-    val signatures = sigN.union(sigV).union(sigF).union(sigE)
-      .toDF("attr", "evidence", "sig")
-      .join(catalog0.select("attr", "table_id", "col_idx"), "attr")
-
-    // ---- banded buckets: the LSH indexes ------------------------------------
+    val catalog = features.flatMap(_.profiles)
+      .toDF("attr", "table_id", "col_idx", "col_name", "n_values", "n_distinct", "null_frac",
+        "avg_len", "numeric_frac", "is_numeric", "tset_size")
+    val signatures = features.flatMap(f => f.signatures.map(s => (s.attr, s.evidence, s.sig, f.tableId, s.colIdx)))
+      .toDF("attr", "evidence", "sig", "table_id", "col_idx")
     val buckets = signatures
       .select($"attr", $"table_id", $"evidence", $"sig").as[(String, String, String, Array[Long])]
       .flatMap { case (attr, tid, ev, sig) =>
-        val levels = if (ev == Evidence.E) Banding.simhashLevels else Banding.minhashLevels
-        Banding.buckets(sig, levels).map { case (band, bucket) => (ev, band, bucket, attr, tid) }
+        bucketsOf(ev, sig).map { case (band, bucket) => (ev, band, bucket, attr, tid) }
       }
       .toDF("evidence", "band", "bucket", "attr", "table_id")
-
-    // ---- 𝔻: sorted numeric samples ------------------------------------------
-    val maxSample = cfg.maxNumericSample
-    val numericProfiles = lake
-      .filter(nonEmpty)
-      .join(catalog0.filter($"is_numeric").select("attr"), "attr")
-      .select($"attr", $"value").as[(String, String)]
-      .flatMap { case (a, v) => Tokenizer.parseNumeric(v).map(d => (a, d)) }
-      .groupByKey(_._1)
-      .mapGroups { (attr, it) =>
-        val all = it.map(_._2).toArray
-        java.util.Arrays.sort(all)
-        val sample = if (all.length <= maxSample) all
-          else Array.tabulate(maxSample)(i => all((i.toLong * all.length / maxSample).toInt))
-        (attr, sample)
-      }
-      .toDF("attr", "sample")
-      .join(catalog0.select("attr", "table_id", "col_idx"), "attr")
-
-    val subjects = SubjectAttribute.predict(catalog)
-
-    lake.unpersist(); ranked.unpersist(); tsetTokens.unpersist()
+    val numericProfiles = features.flatMap(f => f.samples.map(s => (s.attr, s.sample, f.tableId, s.colIdx)))
+      .toDF("attr", "sample", "table_id", "col_idx")
+    val subjects = features.flatMap(f => f.subject.map(c => (f.tableId, c, attrId(f.tableId, c))))
+      .toDF("table_id", "col_idx", "attr")
 
     LakeIndexes(
       catalog = catalog,

@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import org.apache.spark.sql.SparkSession
 import repro.lsh.MinHash
 
 /** §IV — extending relatedness through SA-join paths.
@@ -24,46 +24,29 @@ object JoinPaths {
     def edgeCount: Int = neighbours.valuesIterator.map(_.size).sum / 2
   }
 
-  private val jaccardUdf = udf((a: Seq[Long], b: Seq[Long]) =>
-    MinHash.estimateJaccard(a.toArray, b.toArray))
-
-  /** Build the SA-join graph from the lake's 𝕍 index (one-off per lake). */
+  /** Build the SA-join graph from the lake's 𝕍 index (one-off per lake),
+    * in plain Scala over the driver-resident [[ServingIndex]].
+    */
   def buildGraph(spark: SparkSession, idx: LakeIndexes, cfg: D3LConfig = D3LConfig()): SaJoinGraph = {
-    import spark.implicits._
-    val vBuckets = idx.buckets.filter($"evidence" === Evidence.V)
-    val subjAttrs = idx.subjects.select($"attr").withColumn("is_subj", lit(true))
-
-    // Collisions where the left side is a subject attribute; the right side
-    // may be any attribute ("at least one of a or a' is a subject attribute").
-    val left = vBuckets.join(subjAttrs, "attr")
-      .select($"band", $"bucket", $"attr" as "a_attr", $"table_id" as "a_table")
-    val right = vBuckets
-      .select($"band", $"bucket", $"attr" as "b_attr", $"table_id" as "b_table")
-    val collided = left.join(right, Seq("band", "bucket"))
-      .filter($"a_table" =!= $"b_table")
-      .select("a_attr", "a_table", "b_attr", "b_table")
-      .distinct()
-
-    val sig = idx.signatures.filter($"evidence" === Evidence.V)
-    val sizes = idx.catalog.select($"attr", $"tset_size")
-    val edges = collided
-      .join(sig.select($"attr" as "a_attr", $"sig" as "a_sig"), "a_attr")
-      .join(sig.select($"attr" as "b_attr", $"sig" as "b_sig"), "b_attr")
-      .join(sizes.select($"attr" as "a_attr", $"tset_size" as "a_size"), "a_attr")
-      .join(sizes.select($"attr" as "b_attr", $"tset_size" as "b_size"), "b_attr")
-      .withColumn("jac", jaccardUdf($"a_sig", $"b_sig"))
-      .withColumn("ov",
-        $"jac" * ($"a_size" + $"b_size") / ((lit(1.0) + $"jac") * least($"a_size", $"b_size")))
-      .filter($"ov" >= cfg.minJoinOverlap && $"jac" > 0.0)
-      .select("a_table", "b_table")
-      .distinct()
-      .as[(String, String)]
-      .collect()
-
-    val adj = scala.collection.mutable.Map.empty[String, Set[String]].withDefaultValue(Set.empty)
-    edges.foreach { case (a, b) =>
-      adj(a) = adj(a) + b
-      adj(b) = adj(b) + a
+    val lake = idx.serving
+    val adj = mutable.Map.empty[String, Set[String]].withDefaultValue(Set.empty)
+    // Collisions where one side is a subject attribute; the other may be any
+    // attribute ("at least one of a or a' is a subject attribute").
+    lake.attrs.filter(lake.isSubject).foreach { a =>
+      val seen = mutable.HashSet.empty[String]
+      for {
+        aSig <- a.signatures.get(Evidence.V).iterator
+        k <- a.buckets.iterator if k.evidence == Evidence.V
+        b <- lake.probe(k).iterator if b.tableId != a.tableId && seen.add(b.attr)
+        bSig <- b.signatures.get(Evidence.V)
+      } {
+        val jac = MinHash.estimateJaccard(aSig, bSig)
+        val ov = jac * (a.tsetSize + b.tsetSize) / ((1.0 + jac) * math.min(a.tsetSize, b.tsetSize))
+        if (ov >= cfg.minJoinOverlap && jac > 0.0) {
+          adj(a.tableId) = adj(a.tableId) + b.tableId
+          adj(b.tableId) = adj(b.tableId) + a.tableId
+        }
+      }
     }
     SaJoinGraph(adj.toMap)
   }

@@ -34,15 +34,51 @@ final case class D3LConfig(
       Evidence.all.map(_ -> 1.0).toMap,
 )
 
+/** Catalog entry of one attribute (one row of `LakeIndexes.catalog`). */
+final case class AttrProfile(
+    attr: String,
+    tableId: String,
+    colIdx: Int,
+    colName: String,
+    nValues: Long,
+    nDistinct: Long,
+    nullFrac: Double,
+    /** Mean length of the non-empty values; None when there are none. */
+    avgLen: Option[Double],
+    numericFrac: Double,
+    isNumeric: Boolean,
+    /** |T(a)|: distinct informative (𝕍) tokens; 0 for numeric attributes. */
+    tsetSize: Long,
+)
+
+/** One signature of one attribute. */
+final case class AttrSignature(attr: String, colIdx: Int, evidence: String, sig: Array[Long])
+
+/** Sorted numeric sample (𝔻) of one numeric attribute. */
+final case class AttrSample(attr: String, colIdx: Int, sample: Array[Double])
+
+/** Everything Algorithm 1 derives from one table: per-attribute profiles,
+  * ℕ/𝕍/𝔽/𝔼 signatures, sorted 𝔻 samples and the column index of the
+  * predicted subject attribute.
+  */
+final case class TableFeatures(
+    tableId: String,
+    profiles: Seq[AttrProfile],
+    signatures: Seq[AttrSignature],
+    samples: Seq[AttrSample],
+    subject: Option[Int],
+)
+
 /** The four LSH indexes plus the auxiliary structures D³L needs at query
-  * time, all as cached DataFrames.
+  * time, as DataFrames built on Spark. Queries are answered from
+  * [[serving]], the same content collected once into driver memory.
   *
   *  - catalog:          attr, table_id, col_idx, col_name, n_values,
-  *                      n_distinct, null_frac, numeric_frac, is_numeric,
-  *                      avg_len, tset_size
-  *  - signatures:       attr, table_id, col_idx, evidence, sig (array<long>)
+  *                      n_distinct, null_frac, avg_len, numeric_frac,
+  *                      is_numeric, tset_size
+  *  - signatures:       attr, evidence, sig (array<long>), table_id, col_idx
   *  - buckets:          evidence, band, bucket, attr, table_id  — the indexes
-  *  - numericProfiles:  attr, table_id, col_idx, sample (sorted array<double>)
+  *  - numericProfiles:  attr, sample (sorted array<double>), table_id, col_idx
   *  - subjects:         table_id, col_idx, attr — predicted subject attribute
   *  - tokenEmbeddings:  token, vec (array<float>) — lake-trained embeddings,
   *                      needed to embed unseen target values at query time
@@ -55,6 +91,9 @@ final case class LakeIndexes(
     subjects: DataFrame,
     tokenEmbeddings: DataFrame,
 ) {
+  /** Driver-resident copy of the indexes, collected on first use. */
+  lazy val serving: ServingIndex = ServingIndex.collect(this)
+
   def cacheAll(): LakeIndexes = {
     Seq(catalog, signatures, buckets, numericProfiles, subjects, tokenEmbeddings)
       .foreach(df => { df.cache(); df.count() })

@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.Window
 import repro.lake.LakeTable
 import repro.stats.{LogisticModel, LogisticRegressionCD}
 
@@ -47,29 +44,23 @@ object SubjectAttribute {
     train(repro.lake.Generators.smallerReal(
       nClusters = 8, tablesPerCluster = 12, poolSize = 120, seed = 12345).tables)
 
-  /** Predicted subject attribute per table from the catalog:
-    * argmax model score among non-numeric columns (any column as fallback).
-    * Output: table_id, col_idx, attr.
+  /** Predicted subject attribute of one table from its catalog entries:
+    * the argmax model score among non-numeric columns (any column as
+    * fallback), ties to the leftmost. Returns its column index.
     */
-  def predict(catalog: DataFrame): DataFrame = {
-    val spark = catalog.sparkSession
-    import spark.implicits._
+  def predict(profiles: Seq[AttrProfile]): Option[Int] = {
+    if (profiles.isEmpty) return None
     val model = defaultModel
-    val arities = catalog.groupBy("table_id").agg((max($"col_idx") + 1) as "arity")
-    val scoreUdf = udf((ci: Int, ar: Int, nf: Double, nd: Long, nv: Long, numf: Double, al: Double) => {
-      val dr = if (nv > 0) nd.toDouble / nv else 0.0
-      model.score(features(ci, ar, nf, dr, numf, if (al.isNaN) 0.0 else al))
-    })
-    val scored = catalog.join(arities, "table_id")
-      .withColumn("subj_score",
-        scoreUdf($"col_idx", $"arity", $"null_frac", $"n_distinct", $"n_values",
-                 $"numeric_frac", coalesce($"avg_len", lit(0.0))))
+    val arity = profiles.map(_.colIdx).max + 1
+    def subjScore(p: AttrProfile): Double = {
+      val dr = if (p.nValues > 0) p.nDistinct.toDouble / p.nValues else 0.0
+      val s = model.score(features(p.colIdx, arity, p.nullFrac, dr, p.numericFrac,
+        p.avgLen.filterNot(_.isNaN).getOrElse(0.0)))
       // Numeric columns are never subjects (the paper assumes non-numeric).
-      .withColumn("subj_score", when($"is_numeric", $"subj_score" - 100.0).otherwise($"subj_score"))
-    val w = Window.partitionBy("table_id").orderBy($"subj_score".desc, $"col_idx".asc)
-    scored.withColumn("rn", row_number().over(w))
-      .filter($"rn" === 1)
-      .select("table_id", "col_idx", "attr")
+      if (p.isNumeric) s - 100.0 else s
+    }
+    Some(profiles.map(p => (-subjScore(p), p.colIdx))
+      .min(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Int))._2)
   }
 
   // ---- training/evaluation utilities (used by tests, not by the pipeline) --

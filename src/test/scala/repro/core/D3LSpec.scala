@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.lake.{Generators, LakeDf}
@@ -137,5 +140,66 @@ class D3LSpec extends SparkSpec {
     val base = ranking.select("t_table", "s_table", "rank").collect()
       .map(r => (r.getString(0), r.getString(1)) -> r.getInt(2)).toMap
     assert(reweighted != base)
+  }
+
+  private def topK(res: D3L.QueryResult, target: String, k: Int): Seq[(String, Double, Int)] =
+    res.ranking.filter(col("t_table") === target && col("rank") <= k)
+      .select("s_table", "score", "rank").collect()
+      .map(r => (r.getString(0), r.getDouble(1), r.getInt(2))).toSeq.sortBy(_._3)
+
+  test("queryTable drops the excluded table before ranking: a renamed copy gets queryAll's top-k") {
+    val t = lake.tables(1)
+    val copy = t.copy(id = s"copy-of-${t.id}")
+    val single = D3L.queryTable(spark, idx, copy, excludeId = Some(t.id))
+    val ranks = single.ranking.select("rank", "s_table").collect().map(r => (r.getInt(0), r.getString(1)))
+    assert(ranks.map(_._1).sorted.toSeq == (1 to ranks.length), "ranks are not 1..n")
+    assert(!ranks.exists(_._2 == t.id), "excluded table is ranked")
+    val k = 4
+    val got = topK(single, copy.id, k)
+    val want = topK(result, t.id, k)
+    assert(got.size == want.size)
+    got.zip(want).foreach { case ((gs, gScore, _), (ws, wScore, _)) =>
+      assert(math.abs(gScore - wScore) <= 1e-9, s"score of $gs $gScore vs $ws $wScore")
+    }
+    // Candidates may differ only where they tie with the k-th score.
+    val kth = want.last._2
+    val scoreOf = (got ++ want).map(h => h._1 -> h._2).toMap
+    val swapped = (got.map(_._1).toSet diff want.map(_._1).toSet) ++ (want.map(_._1).toSet diff got.map(_._1).toSet)
+    assert(swapped.forall(s => math.abs(scoreOf(s) - kth) <= 1e-9), s"top-$k differs on $swapped")
+  }
+
+  test("queryTable and its top-k collect start no Spark job and persist nothing") {
+    val sc = spark.sparkContext
+    idx.serving.embeddings // index served before measuring
+    val persisted = sc.getPersistentRDDs.keySet
+    val jobs = new AtomicInteger()
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
+          case Some("served-query") => jobs.incrementAndGet()
+          case Some("served-query-marker") => marker.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("served-query", "queryTable under test")
+      (0 until 20).foreach { i =>
+        val t = lake.tables(i % lake.tables.size)
+        D3L.queryTable(spark, idx, t, excludeId = Some(t.id))
+          .ranking.filter(col("rank") <= 4).select("s_table", "score", "rank").collect()
+      }
+      // Listener events arrive in order: once the marker job is seen, every
+      // job the queries might have started has been seen too.
+      sc.setJobGroup("served-query-marker", "listener marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(marker.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    assert(jobs.get == 0, s"${jobs.get} Spark jobs started by queryTable")
+    assert(sc.getPersistentRDDs.keySet == persisted, "queryTable left persisted RDDs behind")
   }
 }

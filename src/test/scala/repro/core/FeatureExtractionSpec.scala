@@ -168,4 +168,19 @@ class FeatureExtractionSpec extends SparkSpec {
       .distinct().collect().map(_.getString(0)).toSet
     assert(!vAttrs.contains("e1#0"))
   }
+
+  test("driver-side kernel reproduces a lake table's frames") {
+    val vecs = idx.tokenEmbeddings.collect().map(r =>
+      r.getString(0) -> r.getAs[scala.collection.Seq[Float]](1).toArray).toMap
+    val f = FeatureExtraction.extractTable(tinyTables.head, D3LConfig(), vecs.get)
+    val sigs = idx.signatures.filter(col("table_id") === "t1").collect()
+      .map(r => (r.getAs[String]("attr"), r.getAs[String]("evidence")) ->
+        r.getAs[scala.collection.Seq[Long]]("sig").toSeq).toMap
+    assert(f.signatures.map(s => (s.attr, s.evidence) -> s.sig.toSeq).toMap == sigs)
+    val tsets = idx.catalog.filter(col("table_id") === "t1").collect()
+      .map(r => r.getAs[String]("attr") -> r.getAs[Long]("tset_size")).toMap
+    assert(f.profiles.map(p => p.attr -> p.tsetSize).toMap == tsets)
+    assert(f.samples.map(s => s.attr -> s.sample.toSeq) == Seq("t1#2" -> Seq(980.0, 1202.0, 3572.0)))
+    assert(f.subject.contains(0))
+  }
 }
