@@ -22,6 +22,7 @@ import repro.text.{Embeddings, Tokenizer}
   * candidate edges (high-uniqueness columns with overlapping content) —
   * uniqueness-only joinability, no subject attributes, no target-evidence
   * guard, which is what costs it attribute precision in Experiments 9/11.
+  * Its traversal is `JoinPaths.reachable` on `pkfkTableEdges`, unguarded.
   */
 object Aurum {
 
@@ -224,25 +225,5 @@ object Aurum {
       .map(e => (if (e.aTable == targetId) e.bTable else e.aTable, e.sim))
       .groupBy(_._1).map { case (t, ss) => (t, ss.map(_._2).max) }
       .toSeq.sortBy { case (t, s) => (-s, t) }
-  }
-
-  /** Join paths for Aurum+J: traversal over PK/FK candidate table edges, no
-    * subject-attribute or target-evidence restriction. Guarded BFS — see
-    * `JoinPaths.reachable` for why BFS yields the same reachable set as
-    * enumerating simple paths, without the combinatorial cost.
-    */
-  def joinReachable(idx: AurumIndexes, topK: Set[String], start: String, maxLen: Int = 4): Set[String] = {
-    val visited = scala.collection.mutable.Set(start)
-    var frontier = List(start)
-    var depth = 1
-    while (frontier.nonEmpty && depth < maxLen) {
-      frontier = frontier.flatMap { node =>
-        idx.pkfkTableEdges.getOrElse(node, Set.empty).toSeq.filter { n =>
-          !visited.contains(n) && !topK.contains(n) && { visited += n; true }
-        }
-      }
-      depth += 1
-    }
-    visited.toSet - start
   }
 }

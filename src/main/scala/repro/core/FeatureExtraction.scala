@@ -17,9 +17,12 @@ import repro.lsh.{Banding, MinHash, RandomProjection}
   * that *are* the four LSH indexes.
   *
   * [[extract]] applies the kernel to every table of a long-format lake
-  * (`table_id, col_idx, col_name, row_idx, value`) on Spark; the only
-  * lake-wide aggregation is embedding training. A query target is extracted
-  * on the driver by calling the kernel directly.
+  * (`table_id, col_idx, col_name, row_idx, value`) on Spark and keeps its
+  * output as one `Dataset[TableFeatures]`; the only lake-wide aggregation is
+  * embedding training. The serving index bands that output on the driver
+  * ([[bucketsOf]]), and the [[LakeIndexes]] frames are views derived from
+  * it. A query target is extracted on the driver by calling the kernel
+  * directly.
   */
 object FeatureExtraction {
 
@@ -108,10 +111,12 @@ object FeatureExtraction {
       }.flatten
     }
 
-  /** Build all indexes for a lake: the kernel runs once per table inside a
-    * `groupByKey` on `table_id`. When `reuseEmbeddings` is given (a query
-    * target), the lake-trained token embeddings are used instead of
-    * retraining on the (tiny) input.
+  /** Build the index of a lake: the kernel runs once per table inside a
+    * `groupByKey` on `table_id`, and its output is the one features dataset
+    * the index holds (cached on first use; [[LakeIndexes.cacheAll]]
+    * materialises it). When `reuseEmbeddings` is given (a query target), the
+    * lake-trained token embeddings are used instead of retraining on the
+    * (tiny) input; the target's index then does not own them.
     */
   def extract(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig(),
               reuseEmbeddings: Option[DataFrame] = None): LakeIndexes = {
@@ -138,32 +143,8 @@ object FeatureExtraction {
     val vectors = spark.sparkContext.broadcast(
       tokenEmbeddings.select("token", "vec").as[(String, Array[Float])].collect().toMap)
 
-    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, vectors.value.get) }
-
-    val catalog = features.flatMap(_.profiles)
-      .toDF("attr", "table_id", "col_idx", "col_name", "n_values", "n_distinct", "null_frac",
-        "avg_len", "numeric_frac", "is_numeric", "tset_size")
-    val signatures = features.flatMap(f => f.signatures.map(s => (s.attr, s.evidence, s.sig, f.tableId, s.colIdx)))
-      .toDF("attr", "evidence", "sig", "table_id", "col_idx")
-    val buckets = signatures
-      .select($"attr", $"table_id", $"evidence", $"sig").as[(String, String, String, Array[Long])]
-      .flatMap { case (attr, tid, ev, sig) =>
-        bucketsOf(ev, sig).map { case (band, bucket) => (ev, band, bucket, attr, tid) }
-      }
-      .toDF("evidence", "band", "bucket", "attr", "table_id")
-    val numericProfiles = features.flatMap(f => f.samples.map(s => (s.attr, s.sample, f.tableId, s.colIdx)))
-      .toDF("attr", "sample", "table_id", "col_idx")
-    val subjects = features.flatMap(f => f.subject.map(c => (f.tableId, c, attrId(f.tableId, c))))
-      .toDF("table_id", "col_idx", "attr")
-
-    LakeIndexes(
-      catalog = catalog,
-      signatures = signatures,
-      buckets = buckets,
-      numericProfiles = numericProfiles,
-      subjects = subjects,
-      tokenEmbeddings = tokenEmbeddings,
-    )
+    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, vectors.value.get) }.cache()
+    new LakeIndexes(features, tokenEmbeddings, ownsEmbeddings = reuseEmbeddings.isEmpty)
   }
 
   /** Random-indexing training: a token's embedding is the sum over all of

@@ -80,9 +80,10 @@ object JoinPaths {
     * constraints, so the reachable set is identical, but the cost is
     * O(V+E) — enumerating all simple paths in the dense cliques that
     * same-base derived tables form is combinatorial and only needed when a
-    * caller wants the concrete join plans (findJoinPaths).
+    * caller wants the concrete join plans (findJoinPaths). Without a
+    * relatedness guard (`_ => true`) this is Aurum+J's PK/FK traversal.
     */
-  def reachable(graph: SaJoinGraph, topK: Set[String], relatedToTarget: Set[String],
+  def reachable(graph: SaJoinGraph, topK: Set[String], relatedToTarget: String => Boolean,
                 start: String, maxLen: Int = 4): Set[String] = {
     val visited = scala.collection.mutable.Set(start)
     var frontier = List(start)
@@ -90,7 +91,7 @@ object JoinPaths {
     while (frontier.nonEmpty && depth < maxLen) {
       frontier = frontier.flatMap { node =>
         graph.adjacent(node).toSeq.filter { n =>
-          !visited.contains(n) && !topK.contains(n) && relatedToTarget.contains(n) &&
+          !visited.contains(n) && !topK.contains(n) && relatedToTarget(n) &&
             { visited += n; true }
         }
       }

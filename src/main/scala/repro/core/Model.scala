@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.storage.StorageLevel
 
 /** Shared identifiers and configuration for the D³L pipeline. */
 object Evidence {
@@ -69,9 +70,14 @@ final case class TableFeatures(
     subject: Option[Int],
 )
 
-/** The four LSH indexes plus the auxiliary structures D³L needs at query
-  * time, as DataFrames built on Spark. Queries are answered from
-  * [[serving]], the same content collected once into driver memory.
+/** The lake's D³L index: Algorithm 1's output per table ([[features]],
+  * built on Spark by [[FeatureExtraction.extract]]) and the lake-trained
+  * token embeddings. Queries are answered from [[serving]], the features
+  * collected once into driver memory and banded there.
+  *
+  * The frames below are lazy views derived from `features`, for inspection,
+  * space accounting (Exp. 7) and tests; neither the build nor the query path
+  * reads them.
   *
   *  - catalog:          attr, table_id, col_idx, col_name, n_values,
   *                      n_distinct, null_frac, avg_len, numeric_frac,
@@ -80,26 +86,47 @@ final case class TableFeatures(
   *  - buckets:          evidence, band, bucket, attr, table_id  — the indexes
   *  - numericProfiles:  attr, sample (sorted array<double>), table_id, col_idx
   *  - subjects:         table_id, col_idx, attr — predicted subject attribute
-  *  - tokenEmbeddings:  token, vec (array<float>) — lake-trained embeddings,
-  *                      needed to embed unseen target values at query time
+  *  - tokenEmbeddings:  token, vec (array<float>) — needed to embed unseen
+  *                      target values at query time
+  *
+  * `ownsEmbeddings` is false when the embeddings were reused from another
+  * index, as a query target's are: [[unpersistAll]] then leaves them cached.
   */
-final case class LakeIndexes(
-    catalog: DataFrame,
-    signatures: DataFrame,
-    buckets: DataFrame,
-    numericProfiles: DataFrame,
-    subjects: DataFrame,
-    tokenEmbeddings: DataFrame,
+final class LakeIndexes private[core] (
+    val features: Dataset[TableFeatures],
+    val tokenEmbeddings: DataFrame,
+    ownsEmbeddings: Boolean,
 ) {
-  /** Driver-resident copy of the indexes, collected on first use. */
-  lazy val serving: ServingIndex = ServingIndex.collect(this)
+  private val spark = features.sparkSession
+  import spark.implicits._
+
+  lazy val catalog: DataFrame = features.flatMap(_.profiles)
+    .toDF("attr", "table_id", "col_idx", "col_name", "n_values", "n_distinct", "null_frac",
+      "avg_len", "numeric_frac", "is_numeric", "tset_size")
+  lazy val signatures: DataFrame = features
+    .flatMap(f => f.signatures.map(s => (s.attr, s.evidence, s.sig, f.tableId, s.colIdx)))
+    .toDF("attr", "evidence", "sig", "table_id", "col_idx")
+  lazy val buckets: DataFrame = features
+    .flatMap(f => f.signatures.flatMap(s => FeatureExtraction.bucketsOf(s.evidence, s.sig)
+      .map { case (band, bucket) => (s.evidence, band, bucket, s.attr, f.tableId) }))
+    .toDF("evidence", "band", "bucket", "attr", "table_id")
+  lazy val numericProfiles: DataFrame = features
+    .flatMap(f => f.samples.map(s => (s.attr, s.sample, f.tableId, s.colIdx)))
+    .toDF("attr", "sample", "table_id", "col_idx")
+  lazy val subjects: DataFrame = features
+    .flatMap(f => f.subject.map(c => (f.tableId, c, FeatureExtraction.attrId(f.tableId, c))))
+    .toDF("table_id", "col_idx", "attr")
+
+  /** Driver-resident form of the index, collected on first use. */
+  lazy val serving: ServingIndex = ServingIndex.of(features.collect().toSeq,
+    () => tokenEmbeddings.select("token", "vec").as[(String, Array[Float])].collect().toMap)
+
+  /** What this index persists: the features, and the embeddings if it trained them. */
+  private def owned: Seq[Dataset[_]] = if (ownsEmbeddings) Seq(features, tokenEmbeddings) else Seq(features)
 
   def cacheAll(): LakeIndexes = {
-    Seq(catalog, signatures, buckets, numericProfiles, subjects, tokenEmbeddings)
-      .foreach(df => { df.cache(); df.count() })
+    owned.foreach { ds => if (ds.storageLevel == StorageLevel.NONE) ds.cache(); ds.count() }
     this
   }
-  def unpersistAll(): Unit =
-    Seq(catalog, signatures, buckets, numericProfiles, subjects, tokenEmbeddings)
-      .foreach(_.unpersist())
+  def unpersistAll(): Unit = owned.foreach(_.unpersist())
 }

@@ -129,12 +129,15 @@ object Harness {
       si, f.cfg.maxPathLen)
   }
 
-  /** Aurum+J reachability closure: PK/FK DFS, no guards. */
+  /** Aurum+J reachability closure: the same traversal over the PK/FK
+    * candidate graph, no guards.
+    */
   def aurumReachable(f: Fixture, run: SystemRun, k: Int): (String, String) => Set[String] = {
     val topKBy = run.ranks.groupBy(_.tTable).map { case (t, rs) =>
       t -> rs.filter(_.rank <= k).map(_.sTable).toSet
     }
-    (t, si) => Aurum.joinReachable(f.aurum, topKBy.getOrElse(t, Set.empty), si, f.cfg.maxPathLen)
+    val graph = JoinPaths.SaJoinGraph(f.aurum.pkfkTableEdges)
+    (t, si) => JoinPaths.reachable(graph, topKBy.getOrElse(t, Set.empty), _ => true, si, f.cfg.maxPathLen)
   }
 
   // ---- space accounting (Experiment 7 / Table II) --------------------------

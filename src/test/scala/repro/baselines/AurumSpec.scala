@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.core.JoinPaths
 import repro.lake.{Generators, LakeDf}
 
 class AurumSpec extends SparkSpec {
@@ -80,10 +81,13 @@ class AurumSpec extends SparkSpec {
 
   test("joinReachable respects topK exclusion and path cap") {
     if (idx.pkfkTableEdges.nonEmpty) {
+      val graph = JoinPaths.SaJoinGraph(idx.pkfkTableEdges)
       val start = idx.pkfkTableEdges.keys.head
       val others = idx.pkfkTableEdges(start)
-      val blocked = Aurum.joinReachable(idx, topK = others + start, start)
+      val blocked = JoinPaths.reachable(graph, topK = others + start, _ => true, start)
       assert((blocked intersect others).isEmpty)
+      assert(JoinPaths.reachable(graph, Set(start), _ => true, start, maxLen = 1).isEmpty)
+      assert(JoinPaths.reachable(graph, Set(start), _ => true, start, maxLen = 2) == others)
     }
   }
 

@@ -4,6 +4,7 @@ import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.lake.{Generators, LakeDf}
 
@@ -166,6 +167,29 @@ class D3LSpec extends SparkSpec {
     val scoreOf = (got ++ want).map(h => h._1 -> h._2).toMap
     val swapped = (got.map(_._1).toSet diff want.map(_._1).toSet) ++ (want.map(_._1).toSet diff got.map(_._1).toSet)
     assert(swapped.forall(s => math.abs(scoreOf(s) - kth) <= 1e-9), s"top-$k differs on $swapped")
+  }
+
+  test("queryAll rejects target ids the index does not hold") {
+    val e = intercept[IllegalArgumentException](D3L.queryAll(spark, idx, Seq(targets.head, "no-such-table")))
+    assert(e.getMessage.contains("no-such-table"))
+  }
+
+  test("the build runs Algorithm 1 once per table: only features and embeddings are cached") {
+    val sc = spark.sparkContext
+    long.count()
+    val before = sc.getPersistentRDDs.keySet
+    val built = D3L.index(spark, long)
+    val added = sc.getPersistentRDDs.keySet -- before
+    assert(added.size == 2, s"${added.size} datasets cached by the build")
+    built.unpersistAll()
+    assert(sc.getPersistentRDDs.keySet == before, "unpersistAll left cached datasets behind")
+  }
+
+  test("a target index reusing the lake's embeddings leaves them cached when released") {
+    val target = FeatureExtraction.extract(spark, LakeDf.toLong(spark, lake.tables.take(1)),
+      reuseEmbeddings = Some(idx.tokenEmbeddings)).cacheAll()
+    target.unpersistAll()
+    assert(idx.tokenEmbeddings.storageLevel != StorageLevel.NONE)
   }
 
   test("queryTable and its top-k collect start no Spark job and persist nothing") {

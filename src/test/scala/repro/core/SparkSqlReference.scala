@@ -19,23 +19,25 @@ object SparkSqlReference {
   private val ksUdf = udf((a: Seq[Double], b: Seq[Double]) =>
     KolmogorovSmirnov.statisticSorted(a.toArray, b.toArray))
 
+  /** The `LakeIndexes` frames the pipeline reads. */
+  final case class Frames(signatures: DataFrame, buckets: DataFrame, numericProfiles: DataFrame, subjects: DataFrame)
+
   /** Each of `targetIds` (lake members) against the whole lake. */
   def queryAll(spark: SparkSession, idx: LakeIndexes, targetIds: Seq[String], cfg: D3LConfig): QueryResult = {
     import spark.implicits._
     val targets = targetIds.toDF("table_id")
-    val tView = LakeIndexes(
-      catalog = idx.catalog.join(targets, "table_id"),
-      signatures = idx.signatures.join(targets, "table_id"),
-      buckets = idx.buckets.join(targets, "table_id"),
-      numericProfiles = idx.numericProfiles.join(targets, "table_id"),
-      subjects = idx.subjects.join(targets, "table_id"),
-      tokenEmbeddings = idx.tokenEmbeddings,
+    val lake = Frames(idx.signatures, idx.buckets, idx.numericProfiles, idx.subjects)
+    val tView = Frames(
+      signatures = lake.signatures.join(targets, "table_id"),
+      buckets = lake.buckets.join(targets, "table_id"),
+      numericProfiles = lake.numericProfiles.join(targets, "table_id"),
+      subjects = lake.subjects.join(targets, "table_id"),
     )
-    queryWith(spark, tView, idx, cfg)
+    queryWith(spark, tView, lake, cfg)
   }
 
   /** The Spark-SQL pipeline: target-side index view vs lake-side indexes. */
-  def queryWith(spark: SparkSession, t: LakeIndexes, s: LakeIndexes,
+  def queryWith(spark: SparkSession, t: Frames, s: Frames,
                 cfg: D3LConfig): QueryResult = {
     import spark.implicits._
 
