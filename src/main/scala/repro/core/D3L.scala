@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -27,17 +28,25 @@ object D3L {
     */
   final case class QueryResult(ranking: DataFrame, alignments: DataFrame, tablePairs: DataFrame)
 
+  private val EvN = Evidence.all.indexOf(Evidence.N)
+  private val EvF = Evidence.all.indexOf(Evidence.F)
+  private val EvE = Evidence.all.indexOf(Evidence.E)
+  private val EvD = Evidence.all.indexOf(Evidence.D)
+
   /** Distance from two signatures given the evidence type: Jaccard estimate
     * for ℕ/𝕍/𝔽, cosine estimate for 𝔼, both mapped to [0,1] distances.
     */
   def distance(evidence: String, a: Array[Long], b: Array[Long]): Double =
-    if (evidence == Evidence.E) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
+    distance(Evidence.all.indexOf(evidence), a, b)
+
+  private def distance(e: Int, a: Array[Long], b: Array[Long]): Double =
+    if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
     else 1.0 - MinHash.estimateJaccard(a, b)
 
   /** Build the lake indexes on Spark and collect their serving form. */
   def index(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig()): LakeIndexes = {
     val idx = FeatureExtraction.extract(spark, lakeLong, cfg).cacheAll()
-    idx.serving.embeddings
+    idx.serving
     idx
   }
 
@@ -47,7 +56,7 @@ object D3L {
   def queryAll(spark: SparkSession, idx: LakeIndexes, targetIds: Seq[String],
                cfg: D3LConfig = D3LConfig()): QueryResult = {
     val lake = idx.serving
-    search(spark, lake.tables(targetIds), lake.subjects, lake, cfg)
+    search(spark, lake, lake.tables(targetIds), lake, cfg)
   }
 
   /** Single-target query for a table that may not be in the lake: features
@@ -59,84 +68,161 @@ object D3L {
                  cfg: D3LConfig = D3LConfig(), excludeId: Option[String] = None): QueryResult = {
     val lake = idx.serving
     val t = ServingIndex.of(Seq(FeatureExtraction.extractTable(target, cfg, lake.embeddings.get)))
-    search(spark, t.attrs, t.subjects, lake, cfg, excludeId.toSet)
+    search(spark, t, t.attrs, lake, cfg, excludeId.toSet)
   }
 
   /** Target-side indexes vs lake-side indexes, both served from the driver. */
   def queryWith(spark: SparkSession, t: LakeIndexes, s: LakeIndexes, cfg: D3LConfig): QueryResult =
-    search(spark, t.serving.attrs, t.serving.subjects, s.serving, cfg)
+    search(spark, t.serving, t.serving.attrs, s.serving, cfg)
 
-  /** One attribute pair with its distance under one evidence type. */
-  private final case class Pair(evidence: String, t: ServedAttr, s: ServedAttr, dist: Double)
+  /** Answer rows of one target table. */
+  private final case class TableAnswer(ranking: Seq[Row], alignments: Seq[Row], tablePairs: Seq[Row])
 
-  /** The query pipeline: `targets` (with subject attributes `tSubjects`)
-    * against `lake`. Tables in `exclude`, and every target's own table, are
-    * dropped at the probe, before any weighting.
+  /** The query pipeline: `targets`, attributes of the index `from`, against
+    * `lake`. Tables in `exclude`, and every target's own table, are dropped
+    * at the probe, before any weighting. Every step after the probe is
+    * independent per target table, so the tables are answered concurrently
+    * on the driver's cores and their rows concatenated in target order.
     */
-  private def search(spark: SparkSession, targets: Seq[ServedAttr], tSubjects: Set[String],
+  private def search(spark: SparkSession, from: ServingIndex, targets: Seq[ServedAttr],
                      lake: ServingIndex, cfg: D3LConfig, exclude: Set[String] = Set.empty): QueryResult = {
+    val excluded = lake.tableIds.map(exclude.contains).toArray
+    val ew = Evidence.all.map(cfg.evidenceWeights).toArray
+    val byTable = targets.groupBy(_.tableId)
+    val answers = onCores(targets.map(_.tableId).distinct) { id =>
+      searchTable(from, byTable(id).toIndexedSeq, lake, excluded, ew, cfg.tau)
+    }
+    QueryResult(local(spark, rankingSchema, answers.flatMap(_.ranking)),
+      local(spark, alignmentSchema, answers.flatMap(_.alignments)),
+      local(spark, pairSchema, answers.flatMap(_.tablePairs)))
+  }
+
+  /** Workers for the target tables of batched queries, one per core. */
+  private lazy val pool = new ForkJoinPool(Runtime.getRuntime.availableProcessors)
+
+  /** `xs.map(f)` on the driver's cores, in `xs`'s order; a single element
+    * runs on the caller's thread.
+    */
+  private def onCores[A, B](xs: Seq[A])(f: A => B): Seq[B] =
+    if (xs.lengthCompare(1) <= 0) xs.map(f)
+    else xs.map(x => pool.submit(new Callable[B] { def call(): B = f(x) })).map(_.join())
+
+  /** Candidate pairs of one target table as parallel arrays: evidence
+    * ordinal, target (position among the table's attributes), lake
+    * attribute id and distance.
+    */
+  private final class Pairs {
+    var size = 0
+    var ev = new Array[Int](256)
+    var t = new Array[Int](256)
+    var s = new Array[Int](256)
+    var dist = new Array[Double](256)
+
+    def add(e: Int, ti: Int, si: Int, d: Double): Unit = {
+      if (size == ev.length) {
+        ev = java.util.Arrays.copyOf(ev, 2 * size)
+        t = java.util.Arrays.copyOf(t, 2 * size)
+        s = java.util.Arrays.copyOf(s, 2 * size)
+        dist = java.util.Arrays.copyOf(dist, 2 * size)
+      }
+      ev(size) = e; t(size) = ti; s(size) = si; dist(size) = d
+      size += 1
+    }
+  }
+
+  /** The pipeline for the attributes `ts` of one target table. Pairs are
+    * produced per target attribute and evidence type in turn, so each Eq. 2
+    * group R_t is one contiguous run, and every per-(candidate table,
+    * evidence) sum of Eq. 1 adds its terms in the same order whether the
+    * table is queried alone or in a batch.
+    */
+  private def searchTable(from: ServingIndex, ts: IndexedSeq[ServedAttr], lake: ServingIndex,
+                          excluded: Array[Boolean], ew: Array[Double], tau: Double): TableAnswer = {
+    val tableId = ts.head.tableId
+    val self = lake.tableOf(tableId)
+    val nAttrs = lake.attrs.size
+    val pairs = new Pairs
+    // Candidate lake tables in first-seen order; slot(table) = position or -1.
+    val cands = mutable.ArrayBuffer.empty[Int]
+    val saRelated = mutable.ArrayBuffer.empty[Boolean]
+    val slot = Array.fill(lake.tableIds.size)(-1)
+
     // ---- LSH probe: a shared (evidence, band, bucket) = candidate pair -----
-    val text = mutable.ArrayBuffer.empty[Pair]
-    targets.foreach { t =>
-      val seen = mutable.HashSet.empty[(String, String)]
-      t.buckets.foreach { k =>
-        lake.probe(k).foreach { s =>
-          if (s.tableId != t.tableId && !exclude.contains(s.tableId) && seen.add((k.evidence, s.attr)))
-            for (a <- t.signatures.get(k.evidence); b <- s.signatures.get(k.evidence))
-              text += Pair(k.evidence, t, s, distance(k.evidence, a, b))
+    val seen = new Array[Int](Evidence.indexed.size * nAttrs) // (evidence, lake attr) → target position + 1
+    val tEnd = new Array[Int](ts.size)
+    ts.indices.foreach { ti =>
+      val t = ts(ti)
+      Evidence.indexed.indices.foreach { e =>
+        val base = e * nAttrs
+        lake.bucketsOf(from, t, e).foreach { b =>
+          val post = lake.probe(b)
+          var i = 0
+          while (i < post.length) {
+            val si = post(i)
+            if (seen(base + si) != ti + 1) {
+              seen(base + si) = ti + 1
+              val s = lake.attrs(si)
+              if (s.table != self && !excluded(s.table)) {
+                pairs.add(e, ti, si, distance(e, t.sigs(e), s.sigs(e)))
+                if (slot(s.table) < 0) { slot(s.table) = cands.size; cands += s.table; saRelated += false }
+                if (t.subject && s.subject) saRelated(slot(s.table)) = true
+              }
+            }
+            i += 1
+          }
+        }
+      }
+      tEnd(ti) = pairs.size
+    }
+
+    // ---- Algorithm 2: guarded KS distances for numeric pairs ---------------
+    val nf = new Array[Int](nAttrs) // lake attr → target position + 1 when an ℕ/𝔽 pair links them
+    ts.indices.foreach { ti =>
+      ts(ti).sample.foreach { tSample =>
+        (if (ti == 0) 0 else tEnd(ti - 1)).until(tEnd(ti)).foreach { i =>
+          if (pairs.ev(i) == EvN || pairs.ev(i) == EvF) nf(pairs.s(i)) = ti + 1
+        }
+        cands.indices.foreach { c =>
+          lake.numeric(cands(c)).foreach { si =>
+            if (saRelated(c) || nf(si) == ti + 1)
+              pairs.add(EvD, ti, si, KolmogorovSmirnov.statisticSorted(tSample, lake.attrs(si).sample.get))
+          }
         }
       }
     }
-    val tablePairs = text.iterator.map(p => (p.t.tableId, p.s.tableId)).distinct.toVector
-
-    // ---- Algorithm 2: guarded KS distances for numeric pairs ---------------
-    val saRelated = text.iterator
-      .filter(p => tSubjects.contains(p.t.attr) && lake.isSubject(p.s))
-      .map(p => (p.t.tableId, p.s.tableId)).toSet
-    val nfAttrPairs = text.iterator
-      .filter(p => p.evidence == Evidence.N || p.evidence == Evidence.F)
-      .map(p => (p.t.attr, p.s.attr)).toSet
-    val tNumeric = targets.filter(_.sample.isDefined).groupBy(_.tableId)
-    val numeric = tablePairs.flatMap { case (tt, st) =>
-      val sa = saRelated.contains((tt, st))
-      for {
-        t <- tNumeric.getOrElse(tt, Nil)
-        s <- lake.numeric(st)
-        if sa || nfAttrPairs.contains((t.attr, s.attr))
-      } yield Pair(Evidence.D, t, s, KolmogorovSmirnov.statisticSorted(t.sample.get, s.sample.get))
-    }
-    val pairs = (text ++ numeric).toIndexedSeq
 
     // ---- Eq. 2: CCDF weights over R_t per (evidence, target attribute) ----
-    val w = new Array[Double](pairs.size)
-    pairs.indices.groupBy(i => (pairs(i).evidence, pairs(i).t.attr)).valuesIterator.foreach { is =>
-      Ccdf.weights(is.map(pairs(_).dist)).iterator.zip(is).foreach { case (wi, i) => w(i) = wi }
+    val n = pairs.size
+    val w = new Array[Double](n)
+    var lo = 0
+    while (lo < n) {
+      var hi = lo + 1
+      while (hi < n && pairs.ev(hi) == pairs.ev(lo) && pairs.t(hi) == pairs.t(lo)) hi += 1
+      Ccdf.weights(pairs.dist, lo, hi, w)
+      lo = hi
     }
 
-    // ---- Eq. 1: per-(table pair, evidence) weighted mean -------------------
+    // ---- Eq. 1: per-(candidate table, evidence) weighted mean --------------
     val nEv = Evidence.all.size
-    val evIdx = Evidence.all.zipWithIndex.toMap
-    val sums = mutable.LinkedHashMap.empty[(String, String), Array[Double]] // Σw·d then Σw
-    pairs.indices.foreach { i =>
-      val p = pairs(i)
-      val acc = sums.getOrElseUpdate((p.t.tableId, p.s.tableId), new Array[Double](2 * nEv))
-      val e = evIdx(p.evidence)
-      acc(e) += w(i) * p.dist
-      acc(nEv + e) += w(i)
+    val acc = new Array[Double](2 * nEv * cands.size) // per candidate: Σw·d, then Σw, by evidence
+    (0 until n).foreach { i =>
+      val o = 2 * nEv * slot(lake.attrs(pairs.s(i)).table) + pairs.ev(i)
+      acc(o) += w(i) * pairs.dist(i)
+      acc(o + nEv) += w(i)
     }
 
     // ---- Eq. 3: weighted Euclidean distance to the origin, then rank -------
-    val ew = Evidence.all.map(cfg.evidenceWeights).toIndexedSeq
     val wSum = ew.sum
-    val scored = sums.toSeq.map { case ((tt, st), acc) =>
-      val d = (0 until nEv).map(e => if (acc(nEv + e) > 0) acc(e) / acc(nEv + e) else 1.0)
-      val score = math.sqrt((0 until nEv).map(e => math.pow(ew(e) * d(e), 2.0)).reduce(_ + _) / wSum)
-      (tt, st, d, score)
+    val scored = cands.indices.map { c =>
+      val o = 2 * nEv * c
+      val d = Array.tabulate(nEv)(e => if (acc(o + nEv + e) > 0) acc(o + e) / acc(o + nEv + e) else 1.0)
+      var sq = 0.0
+      (0 until nEv).foreach(e => sq += math.pow(ew(e) * d(e), 2.0))
+      (lake.tableIds(cands(c)), d, math.sqrt(sq / wSum))
     }
-    val ranking = scored.groupBy(_._1).valuesIterator.flatMap { rows =>
-      rows.sortBy(r => (r._4, r._2))(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.String))
-        .zipWithIndex.map { case ((tt, st, d, score), i) => Row.fromSeq(Seq[Any](tt, st) ++ d :+ score :+ (i + 1)) }
-    }.toVector
+    val ranking = scored
+      .sortBy(r => (r._3, r._1))(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.String))
+      .zipWithIndex.map { case ((st, d, score), i) => Row.fromSeq(Seq[Any](tableId, st) ++ d :+ score :+ (i + 1)) }
 
     // ---- attribute alignments (coverage / join-path machinery) -------------
     // An attribute pair counts as *aligned* only when some evidence distance
@@ -145,13 +231,19 @@ object D3L {
     // banding deliberately surfaces them for the table ranking. Coverage and
     // attribute precision (§V-E) are defined over returned alignments, so
     // they use the thresholded set.
-    val alignments = pairs
-      .groupMapReduce(p => (p.t.tableId, p.t.colIdx, p.s.tableId, p.s.colIdx))(_.dist)(math.min)
-      .iterator.collect { case ((tt, tc, st, sc), d) if d <= 1.0 - cfg.tau => Row(tt, tc, st, sc, d) }
-      .toVector
+    val best = mutable.LongMap.empty[Double] // target position · nAttrs + lake attr → min distance
+    (0 until n).foreach { i =>
+      if (pairs.dist(i) <= 1.0 - tau) {
+        val k = pairs.t(i).toLong * nAttrs + pairs.s(i)
+        best.update(k, math.min(best.getOrElse(k, 1.0), pairs.dist(i)))
+      }
+    }
+    val alignments = best.keys.toVector.sorted.map { k =>
+      val (t, s) = (ts((k / nAttrs).toInt), lake.attrs((k % nAttrs).toInt))
+      Row(tableId, t.colIdx, s.tableId, s.colIdx, best(k))
+    }
 
-    QueryResult(local(spark, rankingSchema, ranking), local(spark, alignmentSchema, alignments),
-      local(spark, pairSchema, tablePairs.map { case (tt, st) => Row(tt, st) }))
+    TableAnswer(ranking, alignments, cands.toVector.map(st => Row(tableId, lake.tableIds(st))))
   }
 
   private val rankingSchema = StructType(

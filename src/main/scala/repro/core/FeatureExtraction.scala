@@ -45,8 +45,9 @@ object FeatureExtraction {
   private def numericFrac(values: Seq[String]): Double =
     if (values.isEmpty) 0.0 else values.count(Tokenizer.isNumericValue).toDouble / values.size
 
-  private def isNumeric(values: Seq[String], cfg: D3LConfig): Boolean =
-    values.nonEmpty && numericFrac(values) >= cfg.numericFrac
+  /** Numeric-attribute rule over the non-empty `values`, whose [[numericFrac]] is `frac`. */
+  private def isNumeric(values: Seq[String], frac: Double, cfg: D3LConfig): Boolean =
+    values.nonEmpty && frac >= cfg.numericFrac
 
   /** Algorithm 1 on one lake table, embedding with the lake's model. */
   def extractTable(t: LakeTable, cfg: D3LConfig, embedding: String => Option[Array[Float]]): TableFeatures =
@@ -66,7 +67,8 @@ object FeatureExtraction {
       val attr = attrId(tableId, c.colIdx)
       val vals = c.values.filter(nonEmpty)
       val n = vals.size
-      val numeric = isNumeric(vals, cfg)
+      val frac = numericFrac(vals)
+      val numeric = isNumeric(vals, frac, cfg)
       def sig(ev: String, s: Array[Long]): Unit = sigs += AttrSignature(attr, c.colIdx, ev, s)
 
       sig(Evidence.N, MinHash.signature(Tokenizer.qgrams(c.name)))
@@ -95,7 +97,7 @@ object FeatureExtraction {
         nValues = n, nDistinct = vals.distinct.size,
         nullFrac = (c.values.size - n).toDouble / c.values.size,
         avgLen = if (n == 0) None else Some(vals.map(v => v.codePointCount(0, v.length).toLong).sum.toDouble / n),
-        numericFrac = numericFrac(vals), isNumeric = numeric, tsetSize = tset.size)
+        numericFrac = frac, isNumeric = numeric, tsetSize = tset.size)
     }
     TableFeatures(tableId, profiles, sigs.result(), samples.result(), SubjectAttribute.predict(profiles))
   }
@@ -104,7 +106,10 @@ object FeatureExtraction {
     * word of every non-empty value of its textual attributes, in order.
     */
   private def trainingTokens(tableId: String, columns: Seq[ColumnValues], cfg: D3LConfig): Seq[(String, Long, String)] =
-    columns.filterNot(c => isNumeric(c.values.filter(nonEmpty), cfg)).flatMap { c =>
+    columns.filterNot { c =>
+      val vals = c.values.filter(nonEmpty)
+      isNumeric(vals, numericFrac(vals), cfg)
+    }.flatMap { c =>
       val attr = attrId(tableId, c.colIdx)
       c.values.zipWithIndex.collect { case (v, row) if nonEmpty(v) =>
         Tokenizer.partWords(v).flatten.map(w => (attr, row.toLong, w))
@@ -140,11 +145,11 @@ object FeatureExtraction {
         .toDF("attr", "row_idx", "token")
       trainEmbeddings(spark, toks).cache()
     }
-    val vectors = spark.sparkContext.broadcast(
-      tokenEmbeddings.select("token", "vec").as[(String, Array[Float])].collect().toMap)
+    val vectors = tokenEmbeddings.select("token", "vec").as[(String, Array[Float])].collect().toMap
+    val shipped = spark.sparkContext.broadcast(vectors)
 
-    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, vectors.value.get) }.cache()
-    new LakeIndexes(features, tokenEmbeddings, ownsEmbeddings = reuseEmbeddings.isEmpty)
+    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }.cache()
+    new LakeIndexes(features, tokenEmbeddings, vectors, ownsEmbeddings = reuseEmbeddings.isEmpty)
   }
 
   /** Random-indexing training: a token's embedding is the sum over all of

@@ -29,26 +29,29 @@ object JoinPaths {
     */
   def buildGraph(spark: SparkSession, idx: LakeIndexes, cfg: D3LConfig = D3LConfig()): SaJoinGraph = {
     val lake = idx.serving
-    val adj = mutable.Map.empty[String, Set[String]].withDefaultValue(Set.empty)
+    val v = Evidence.all.indexOf(Evidence.V)
+    val adj = Array.fill(lake.tableIds.size)(mutable.BitSet.empty)
+    val seen = new Array[Int](lake.attrs.size) // attr id → subject attr id + 1 once compared
     // Collisions where one side is a subject attribute; the other may be any
     // attribute ("at least one of a or a' is a subject attribute").
-    lake.attrs.filter(lake.isSubject).foreach { a =>
-      val seen = mutable.HashSet.empty[String]
-      for {
-        aSig <- a.signatures.get(Evidence.V).iterator
-        k <- a.buckets.iterator if k.evidence == Evidence.V
-        b <- lake.probe(k).iterator if b.tableId != a.tableId && seen.add(b.attr)
-        bSig <- b.signatures.get(Evidence.V)
-      } {
-        val jac = MinHash.estimateJaccard(aSig, bSig)
-        val ov = jac * (a.tsetSize + b.tsetSize) / ((1.0 + jac) * math.min(a.tsetSize, b.tsetSize))
-        if (ov >= cfg.minJoinOverlap && jac > 0.0) {
-          adj(a.tableId) = adj(a.tableId) + b.tableId
-          adj(b.tableId) = adj(b.tableId) + a.tableId
+    lake.attrs.filter(_.subject).foreach { a =>
+      a.buckets(v).foreach { k =>
+        lake.probe(k).foreach { bi =>
+          val b = lake.attrs(bi)
+          if (b.table != a.table && seen(bi) != a.id + 1) {
+            seen(bi) = a.id + 1
+            val jac = MinHash.estimateJaccard(a.sigs(v), b.sigs(v))
+            val ov = jac * (a.tsetSize + b.tsetSize) / ((1.0 + jac) * math.min(a.tsetSize, b.tsetSize))
+            if (ov >= cfg.minJoinOverlap && jac > 0.0) {
+              adj(a.table) += b.table
+              adj(b.table) += a.table
+            }
+          }
         }
       }
     }
-    SaJoinGraph(adj.toMap)
+    SaJoinGraph(adj.indices.filter(adj(_).nonEmpty)
+      .map(t => lake.tableIds(t) -> adj(t).iterator.map(lake.tableIds).toSet).toMap)
   }
 
   /** Algorithm 3, called for one start table S_i ∈ S^k: all simple paths of

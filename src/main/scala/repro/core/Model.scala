@@ -95,6 +95,8 @@ final case class TableFeatures(
 final class LakeIndexes private[core] (
     val features: Dataset[TableFeatures],
     val tokenEmbeddings: DataFrame,
+    /** `tokenEmbeddings` as collected on the driver for the build. */
+    vectors: Map[String, Array[Float]],
     ownsEmbeddings: Boolean,
 ) {
   private val spark = features.sparkSession
@@ -118,8 +120,7 @@ final class LakeIndexes private[core] (
     .toDF("table_id", "col_idx", "attr")
 
   /** Driver-resident form of the index, collected on first use. */
-  lazy val serving: ServingIndex = ServingIndex.of(features.collect().toSeq,
-    () => tokenEmbeddings.select("token", "vec").as[(String, Array[Float])].collect().toMap)
+  lazy val serving: ServingIndex = ServingIndex.of(features.collect().toSeq, vectors)
 
   /** What this index persists: the features, and the embeddings if it trained them. */
   private def owned: Seq[Dataset[_]] = if (ownsEmbeddings) Seq(features, tokenEmbeddings) else Seq(features)

@@ -1,20 +1,30 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** One LSH bucket: a (band, bucket) of one evidence type's index. */
-final case class BucketKey(evidence: String, band: Int, bucket: Long)
+final case class BucketKey(evidence: Int, band: Int, bucket: Long)
 
-/** One attribute as the serving index holds it. */
+/** One attribute as the serving index holds it. Evidence ordinals index
+  * [[Evidence.all]] (ℕ, 𝕍, 𝔽, 𝔼 are 0–3).
+  */
 final case class ServedAttr(
-    attr: String,
+    /** Dense id: the attribute's position in its index's `attrs`. */
+    id: Int,
     tableId: String,
+    /** Dense id of `tableId` in its index's `tableIds`. */
+    table: Int,
     colIdx: Int,
     tsetSize: Long,
-    /** evidence → signature (ℕ/𝕍/𝔽/𝔼, whichever the attribute has). */
-    signatures: Map[String, Array[Long]],
-    /** Every bucket the attribute sits in, over all four indexes. */
-    buckets: Seq[BucketKey],
+    /** Predicted subject attribute of its table. */
+    subject: Boolean,
+    /** Signature per indexed evidence ordinal; empty when it has none. */
+    sigs: Array[Array[Long]],
+    /** Bucket ids (of the index holding the attribute) per indexed evidence
+      * ordinal, in banding order.
+      */
+    buckets: Array[Array[Int]],
     /** Sorted numeric sample (𝔻); None for non-numeric attributes. */
     sample: Option[Array[Double]],
 )
@@ -26,73 +36,93 @@ final case class ServedAttr(
   * Scala and start no Spark job (DESIGN.md §2, "Build on Spark, serve from
   * the driver").
   *
-  * Per attribute it holds ≈228 bucket keys (60 each for ℕ/𝕍/𝔽, 48 for 𝔼),
-  * up to four 256-long signatures and at most `maxNumericSample` doubles.
+  * Attributes, tables and buckets carry dense `Int` ids, so the query path
+  * dedupes and accumulates into arrays instead of hashing strings. Per
+  * attribute it holds ≈228 bucket ids (60 each for ℕ/𝕍/𝔽, 48 for 𝔼), up to
+  * four 256-long signatures and at most `maxNumericSample` doubles.
   */
-final class ServingIndex(
+final class ServingIndex private (
     val attrs: IndexedSeq[ServedAttr],
-    val subjects: Set[String],
-    embeddingsOf: () => Map[String, Array[Float]],
+    val tableIds: IndexedSeq[String],
+    /** Bucket key → id, and back. */
+    bucketIds: collection.Map[BucketKey, Int],
+    private val keys: Array[BucketKey],
+    /** Bucket id → ids of the attributes in it, ascending. */
+    postings: Array[Array[Int]],
+    /** Lake-trained token → vector, used to embed unseen target values. */
+    val embeddings: Map[String, Array[Float]],
 ) {
-  /** Lake-trained token → vector, used to embed unseen target values. */
-  lazy val embeddings: Map[String, Array[Float]] = embeddingsOf()
+  private val tableIndex: Map[String, Int] = tableIds.iterator.zipWithIndex.toMap
 
-  lazy val byTable: Map[String, IndexedSeq[ServedAttr]] = attrs.groupBy(_.tableId)
-
-  private lazy val numericByTable: Map[String, IndexedSeq[ServedAttr]] =
-    attrs.filter(_.sample.isDefined).groupBy(_.tableId)
-
-  private lazy val postings: Map[BucketKey, Array[ServedAttr]] = {
-    val m = mutable.HashMap.empty[BucketKey, mutable.ArrayBuffer[ServedAttr]]
-    attrs.foreach(a => a.buckets.foreach(k => m.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += a))
-    m.iterator.map { case (k, as) => k -> as.toArray }.toMap
+  private val byTable: Array[IndexedSeq[ServedAttr]] = {
+    val g = attrs.groupBy(_.table)
+    Array.tabulate(tableIds.size)(t => g.getOrElse(t, IndexedSeq.empty))
   }
 
-  /** Attributes sharing bucket `k`. */
-  def probe(k: BucketKey): Array[ServedAttr] = postings.getOrElse(k, Array.empty)
+  private val numericByTable: Array[Array[Int]] =
+    byTable.map(_.iterator.filter(_.sample.isDefined).map(_.id).toArray)
 
-  def isSubject(a: ServedAttr): Boolean = subjects.contains(a.attr)
+  /** Ids of the attributes sharing bucket `b`. */
+  def probe(b: Int): Array[Int] = postings(b)
 
-  /** The numeric attributes (those with a 𝔻 sample) of one table. */
-  def numeric(tableId: String): IndexedSeq[ServedAttr] = numericByTable.getOrElse(tableId, IndexedSeq.empty)
+  /** `a`'s evidence-`e` buckets as bucket ids of this index, where `a` is an
+    * attribute of `from`; buckets this index does not hold are dropped.
+    */
+  def bucketsOf(from: ServingIndex, a: ServedAttr, e: Int): Array[Int] =
+    if (from eq this) a.buckets(e)
+    else a.buckets(e).flatMap(b => bucketIds.get(from.keys(b)))
+
+  /** Dense id of table `tableId`, or -1 when the index does not hold it. */
+  def tableOf(tableId: String): Int = tableIndex.getOrElse(tableId, -1)
+
+  /** Ids of the numeric attributes (those with a 𝔻 sample) of table `t`. */
+  def numeric(t: Int): Array[Int] = numericByTable(t)
 
   /** The attributes of `tableIds`, as the target side of a query; every id
     * must be a table of the index.
     */
   def tables(tableIds: Seq[String]): IndexedSeq[ServedAttr] = {
     val ids = tableIds.distinct
-    val missing = ids.filterNot(byTable.contains)
+    val missing = ids.filterNot(tableIndex.contains)
     require(missing.isEmpty, s"tables not in the index: ${missing.mkString(", ")}")
-    ids.flatMap(byTable).toIndexedSeq
+    ids.flatMap(id => byTable(tableIndex(id))).toIndexedSeq
   }
 }
 
 object ServingIndex {
 
-  /** Canonical evidence id, so the many deserialised copies of "N" etc. are
-    * not all kept alive.
-    */
-  private def evidenceId(ev: String): String = Evidence.all.find(_ == ev).getOrElse(ev)
-
   /** Serving form of extracted tables, lake or query target alike: every
-    * signature is banded here by [[FeatureExtraction.bucketsOf]].
-    * `embeddingsOf` yields the token embeddings on first use; a target has
-    * none, as it is embedded with the lake's model.
+    * signature is banded here by [[FeatureExtraction.bucketsOf]]. A target
+    * has no embeddings of its own, as it is embedded with the lake's model.
     */
-  def of(tables: Seq[TableFeatures],
-         embeddingsOf: () => Map[String, Array[Float]] = () => Map.empty): ServingIndex = {
-    val attrs = tables.flatMap { t =>
+  def of(tables: Seq[TableFeatures], embeddings: Map[String, Array[Float]] = Map.empty): ServingIndex = {
+    val nIndexed = Evidence.indexed.size
+    val bucketIds = mutable.HashMap.empty[BucketKey, Int]
+    val postings = mutable.ArrayBuffer.empty[mutable.ArrayBuilder.ofInt]
+    val attrs = mutable.ArrayBuffer.empty[ServedAttr]
+    tables.zipWithIndex.foreach { case (t, ti) =>
       val sigs = t.signatures.groupBy(_.attr)
       val samples = t.samples.map(s => s.attr -> s.sample).toMap
-      t.profiles.map { p =>
-        val ss = sigs.getOrElse(p.attr, Nil).map(s => evidenceId(s.evidence) -> s.sig)
-        val buckets = ss.flatMap { case (ev, sig) =>
-          FeatureExtraction.bucketsOf(ev, sig).map { case (band, bucket) => BucketKey(ev, band, bucket) }
+      t.profiles.foreach { p =>
+        val id = attrs.size
+        val bySig = Array.fill(nIndexed)(Array.emptyLongArray)
+        sigs.getOrElse(p.attr, Nil).foreach(s => bySig(Evidence.all.indexOf(s.evidence)) = s.sig)
+        val buckets = Array.tabulate(nIndexed) { e =>
+          if (bySig(e).isEmpty) Array.emptyIntArray
+          else FeatureExtraction.bucketsOf(Evidence.all(e), bySig(e)).map { case (band, bucket) =>
+            val b = bucketIds.getOrElseUpdate(BucketKey(e, band, bucket),
+              { postings += new mutable.ArrayBuilder.ofInt; postings.size - 1 })
+            postings(b) += id
+            b
+          }.toArray
         }
-        ServedAttr(p.attr, p.tableId, p.colIdx, p.tsetSize, ss.toMap, buckets.toVector, samples.get(p.attr))
+        attrs += ServedAttr(id, p.tableId, ti, p.colIdx, p.tsetSize, t.subject.contains(p.colIdx),
+          bySig, buckets, samples.get(p.attr))
       }
     }
-    new ServingIndex(attrs.toIndexedSeq,
-      tables.flatMap(t => t.subject.map(FeatureExtraction.attrId(t.tableId, _))).toSet, embeddingsOf)
+    val keys = new Array[BucketKey](bucketIds.size)
+    bucketIds.foreach { case (k, b) => keys(b) = k }
+    new ServingIndex(ArraySeq.from(attrs), tables.map(_.tableId).toIndexedSeq, bucketIds, keys,
+      postings.iterator.map(_.result()).toArray, embeddings)
   }
 }

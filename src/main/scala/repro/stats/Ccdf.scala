@@ -1,5 +1,7 @@
 package repro.stats
 
+import scala.collection.immutable.ArraySeq
+
 /** Empirical complementary-CDF weights (Eq. 2).
   *
   * The paper weights each observed distance D by 1 − P(d ≤ D) over the
@@ -19,26 +21,43 @@ object Ccdf {
 
   /** Weights for a batch of distances from one distribution R_t. */
   def weights(distances: Seq[Double]): Seq[Double] = {
-    val n = distances.size
-    if (n == 0) return Seq.empty
-    val sorted = distances.sorted
-    distances.map { d =>
-      val gt = n - upperBound(sorted, d)
-      val eq = upperBound(sorted, d) - lowerBound(sorted, d)
-      math.max(Epsilon, (gt + 0.5 * eq) / n)
+    val d = distances.toArray
+    val w = new Array[Double](d.length)
+    weights(d, 0, d.length, w)
+    ArraySeq.unsafeWrapArray(w)
+  }
+
+  /** Weights of `d(from until until)`, one distribution R_t, written to the
+    * same positions of `out`.
+    */
+  def weights(d: Array[Double], from: Int, until: Int, out: Array[Double]): Unit = {
+    val n = until - from
+    val sorted = java.util.Arrays.copyOfRange(d, from, until)
+    java.util.Arrays.sort(sorted)
+    var i = from
+    while (i < until) {
+      val ub = upperBound(sorted, d(i))
+      val gt = n - ub
+      val eq = ub - lowerBound(sorted, d(i))
+      out(i) = math.max(Epsilon, (gt + 0.5 * eq) / n)
+      i += 1
     }
   }
 
   /** First index with value ≥ d. */
-  def lowerBound(sorted: Seq[Double], d: Double): Int = {
-    var lo = 0; var hi = sorted.size
+  def lowerBound(sorted: Seq[Double], d: Double): Int = lowerBound(sorted.toArray, d)
+
+  /** First index with value > d. */
+  def upperBound(sorted: Seq[Double], d: Double): Int = upperBound(sorted.toArray, d)
+
+  private def lowerBound(sorted: Array[Double], d: Double): Int = {
+    var lo = 0; var hi = sorted.length
     while (lo < hi) { val mid = (lo + hi) >>> 1; if (sorted(mid) < d) lo = mid + 1 else hi = mid }
     lo
   }
 
-  /** First index with value > d. */
-  def upperBound(sorted: Seq[Double], d: Double): Int = {
-    var lo = 0; var hi = sorted.size
+  private def upperBound(sorted: Array[Double], d: Double): Int = {
+    var lo = 0; var hi = sorted.length
     while (lo < hi) { val mid = (lo + hi) >>> 1; if (sorted(mid) <= d) lo = mid + 1 else hi = mid }
     lo
   }

@@ -1,5 +1,7 @@
 package repro.text
 
+import java.util.regex.Pattern
+
 /** Format-describing regular-expression strings (𝔽-evidence, §III-B).
   *
   * A value is scanned into maximal runs of letters/digits vs punctuation
@@ -20,15 +22,20 @@ object FormatRegex {
   /** Classify one non-whitespace token into its primitive class symbol,
     * trying classes in the paper's enumeration order.
     */
-  def classify(token: String): Char = {
+  def classify(token: String): Char =
     if (token.isEmpty) 'P'
-    else if (token.matches("[A-Z][a-z]+")) 'C'
-    else if (token.matches("[A-Z]+")) 'U'
-    else if (token.matches("[a-z]+")) 'L'
-    else if (token.matches("[0-9]+")) 'N'
-    else if (token.matches("[A-Za-z0-9]+")) 'A'
+    else if (Capitalised.matcher(token).matches()) 'C'
+    else if (Upper.matcher(token).matches()) 'U'
+    else if (Lower.matcher(token).matches()) 'L'
+    else if (Digits.matcher(token).matches()) 'N'
+    else if (Alnum.matcher(token).matches()) 'A'
     else 'P'
-  }
+
+  private val Capitalised = Pattern.compile("[A-Z][a-z]+")
+  private val Upper = Pattern.compile("[A-Z]+")
+  private val Lower = Pattern.compile("[a-z]+")
+  private val Digits = Pattern.compile("[0-9]+")
+  private val Alnum = Pattern.compile("[A-Za-z0-9]+")
 
   /** Lexical scan: maximal alphanumeric runs and maximal punctuation runs,
     * in order of appearance; whitespace only separates runs.

@@ -1,5 +1,7 @@
 package repro.text
 
+import java.util.regex.Pattern
+
 /** Tokenization primitives shared by every evidence type (§III-A, Example 2).
   *
   * A value ("document") is split into *parts* at punctuation characters; each
@@ -58,23 +60,26 @@ object Tokenizer {
     else norm.sliding(q).toSet
   }
 
+  private val Number = Pattern.compile("[+-]?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?")
+
+  /** A value with thousands separators and a leading currency marker
+    * stripped, when what remains is a number.
+    */
+  private def numberForm(raw: String): Option[String] =
+    if (raw == null) None
+    else {
+      val s = raw.trim.replace(",", "").stripPrefix("£").stripPrefix("$").stripPrefix("€")
+      if (Number.matcher(s).matches()) Some(s) else None
+    }
+
   /** True when a trimmed value parses as a number (optionally signed, with
     * thousands separators or a currency marker stripped). Used for numeric-
     * attribute detection (§III-C).
     */
-  def isNumericValue(raw: String): Boolean = {
-    if (raw == null) return false
-    val s = raw.trim.replace(",", "").stripPrefix("£").stripPrefix("$").stripPrefix("€")
-    if (s.isEmpty) false
-    else s.matches("[+-]?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?")
-  }
+  def isNumericValue(raw: String): Boolean = numberForm(raw).isDefined
 
   /** Parse a numeric value after the same normalisation as [[isNumericValue]];
     * None when not numeric.
     */
-  def parseNumeric(raw: String): Option[Double] = {
-    if (raw == null) return None
-    val s = raw.trim.replace(",", "").stripPrefix("£").stripPrefix("$").stripPrefix("€")
-    if (s.matches("[+-]?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?")) Some(s.toDouble) else None
-  }
+  def parseNumeric(raw: String): Option[Double] = numberForm(raw).map(_.toDouble)
 }

@@ -65,4 +65,22 @@ class D3LEquivalenceSpec extends SparkSpec {
 
       assert(pairs(served) == pairs(ref))
     }
+
+  for (lakeName <- Seq("Synthetic", "Smaller Real"))
+    test(s"batched queryAll answers each target exactly as queryAll of that target alone, on $lakeName") {
+      val (lake, idx) = lakes(lakeName)
+      val targets = lake.tables.take(6).map(_.id)
+      val batched = D3L.queryAll(spark, idx, targets)
+      def rows(res: D3L.QueryResult) = (res.ranking.collect().toSeq, res.alignments.collect().toSeq,
+        res.tablePairs.collect().toSeq)
+      assert(rows(D3L.queryAll(spark, idx, targets)) == rows(batched), "two identical calls return different rows")
+
+      val (got, ga, gp) = (ranking(batched), alignments(batched), pairs(batched))
+      targets.foreach { t =>
+        val alone = D3L.queryAll(spark, idx, Seq(t))
+        assert(got.getOrElse(t, Nil) == ranking(alone).getOrElse(t, Nil), s"$t: ranking differs")
+        assert(ga.filter(_._1._1 == t) == alignments(alone), s"$t: alignments differ")
+        assert(gp.filter(_._1 == t) == pairs(alone), s"$t: guard set differs")
+      }
+    }
 }

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.lake.{Generators, LakeDf}
+import repro.lsh.MinHash
 
 class JoinPathsSpec extends SparkSpec {
 
@@ -32,6 +34,41 @@ class JoinPathsSpec extends SparkSpec {
     val all = graph.neighbours.toSeq.flatMap { case (t, ns) => ns.map(t -> _) }
     val within = all.count { case (a, b) => lake.table(a).cluster == lake.table(b).cluster }
     assert(within >= all.size * 0.55, s"$within/${all.size} edges within clusters")
+  }
+
+  /** SA-join edges by brute force over the index frames: every (subject
+    * attribute, attribute of another table) pair with 𝕍 signatures that
+    * shares at least one 𝕍 bucket, under the same Ĵ and overlap rule.
+    */
+  private def bruteForceEdges(idx: LakeIndexes, cfg: D3LConfig): Set[(String, String)] = {
+    val v = col("evidence") === Evidence.V
+    val buckets = idx.buckets.filter(v).select("attr", "band", "bucket").collect()
+      .map(r => r.getString(0) -> (r.getInt(1), r.getLong(2))).toSeq.groupMap(_._1)(_._2).map { case (a, bs) => a -> bs.toSet }
+    val sigs = idx.signatures.filter(v).select("attr", "sig").collect()
+      .map(r => r.getString(0) -> r.getSeq[Long](1).toArray).toMap
+    val attrs = idx.catalog.select("attr", "table_id", "tset_size").collect()
+      .map(r => r.getString(0) -> (r.getString(1), r.getLong(2))).toMap
+    val subjects = idx.subjects.select("attr").collect().map(_.getString(0)).toSet
+    (for {
+      a <- subjects.toSeq if sigs.contains(a)
+      b <- sigs.keys.toSeq
+      ((ta, na), (tb, nb)) = (attrs(a), attrs(b))
+      if ta != tb && buckets.getOrElse(a, Set.empty).exists(buckets.getOrElse(b, Set.empty))
+      jac = MinHash.estimateJaccard(sigs(a), sigs(b))
+      if jac * (na + nb) / ((1.0 + jac) * math.min(na, nb)) >= cfg.minJoinOverlap && jac > 0.0
+    } yield if (ta < tb) (ta, tb) else (tb, ta)).toSet
+  }
+
+  private def edges(g: JoinPaths.SaJoinGraph): Set[(String, String)] =
+    g.neighbours.toSeq.flatMap { case (t, ns) => ns.map(n => if (t < n) (t, n) else (n, t)) }.toSet
+
+  test("SA-join graph equals the brute-force edge set on a Synthetic and a Smaller-Real lake") {
+    val synthetic = Generators.synthetic(nBases = 4, derivedPerBase = 5, baseRows = 60, seed = 42)
+    Seq(idx, D3L.index(spark, LakeDf.toLong(spark, synthetic.tables))).foreach { i =>
+      val want = bruteForceEdges(i, D3LConfig())
+      assert(want.nonEmpty)
+      assert(edges(JoinPaths.buildGraph(spark, i)) == want)
+    }
   }
 
   // ---- Algorithm 3 on a hand-built graph -----------------------------------
