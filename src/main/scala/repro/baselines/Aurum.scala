@@ -161,10 +161,13 @@ object Aurum {
       .groupBy("a_attr", "a_table", "b_attr", "b_table")
       .agg(max($"sim") as "sim")
       .cache()
+    // Column indexes come from the catalog: table ids may contain '#'.
+    val cols = catalog.select($"attr", $"col_idx")
     val edges = allEdges
       .filter($"sim" >= edgeThreshold)
-      .withColumn("a_col", split($"a_attr", "#").getItem(1).cast("int"))
-      .withColumn("b_col", split($"b_attr", "#").getItem(1).cast("int"))
+      .join(cols.select($"attr" as "a_attr", $"col_idx" as "a_col"), "a_attr")
+      .join(cols.select($"attr" as "b_attr", $"col_idx" as "b_col"), "b_attr")
+      .select("a_attr", "a_table", "a_col", "b_attr", "b_table", "b_col", "sim")
       .cache()
 
     val edgeRows = edges.select("a_attr", "a_table", "b_attr", "b_table", "sim")

@@ -28,7 +28,7 @@ object Tus {
 
   final case class TusIndexes(
       catalog: DataFrame,
-      signatures: DataFrame, // attr, table_id, measure, sig
+      signatures: DataFrame, // attr, measure, sig, table_id, col_idx
       buckets: DataFrame,    // measure, band, bucket, attr, table_id
       tokenEmbeddings: DataFrame,
       kbPath: String,
@@ -66,17 +66,15 @@ object Tus {
 
     val textual = catalog.filter(!$"is_numeric").select("attr")
 
-    val toks = lake.filter(nonEmpty)
-      .select($"attr", $"row_idx", $"value")
+    val values = lake.filter(nonEmpty)
+      .select($"attr", $"value")
       .join(textual, "attr")
-      .as[(String, Long, String)]
-      .flatMap { case (attr, row, v) =>
-        Tokenizer.partWords(v).zipWithIndex.flatMap { case (ws, pi) => ws.map(w => (attr, row, pi, w)) }
-      }
-      .toDF("attr", "row_idx", "part_idx", "token")
+      .as[(String, String)]
+      .map { case (attr, v) => (attr, Tokenizer.partWords(v).flatten) }
       .cache()
 
-    val attrTokens = toks.select("attr", "token").distinct().cache()
+    val attrTokens = values.flatMap { case (attr, ws) => ws.map(w => (attr, w)) }
+      .toDF("attr", "token").distinct().cache()
 
     // SET signatures over the full token sets.
     val sigSet = attrTokens.as[(String, String)].groupByKey(_._1)
@@ -103,7 +101,7 @@ object Tus {
 
     // NL: mean embedding of the distinct tokens (embeddings trained on the
     // lake corpus, shared substitute for TUS's pretrained vectors).
-    val tokenEmbeddings = reuseEmbeddings.getOrElse(FeatureExtraction.trainEmbeddings(spark, toks))
+    val tokenEmbeddings = reuseEmbeddings.getOrElse(FeatureExtraction.trainEmbeddings(spark, values.map(_._2)))
     val sigNl = attrTokens.join(tokenEmbeddings, Seq("token"))
       .select($"attr", $"vec").as[(String, Array[Float])]
       .groupByKey(_._1)
@@ -111,7 +109,7 @@ object Tus {
 
     val signatures = sigSet.union(sigSem).union(sigNl)
       .toDF("attr", "measure", "sig")
-      .join(catalog.select("attr", "table_id"), "attr")
+      .join(catalog.select("attr", "table_id", "col_idx"), "attr")
 
     val buckets = signatures
       .select($"attr", $"table_id", $"measure", $"sig").as[(String, String, String, Array[Long])]
@@ -121,7 +119,7 @@ object Tus {
       }
       .toDF("measure", "band", "bucket", "attr", "table_id")
 
-    lake.unpersist(); toks.unpersist(); attrTokens.unpersist()
+    lake.unpersist(); values.unpersist(); attrTokens.unpersist()
     TusIndexes(catalog, signatures, buckets, tokenEmbeddings, kbPath)
   }
 
@@ -169,13 +167,13 @@ object Tus {
       .select("measure", "t_attr", "t_table", "s_attr", "s_table")
       .distinct()
 
-    val tSig = tSignatures.select($"attr" as "t_attr", $"measure", $"sig" as "t_sig")
-    val sSig = idx.signatures.select($"attr" as "s_attr", $"measure", $"sig" as "s_sig")
+    val tSig = tSignatures.select($"attr" as "t_attr", $"measure", $"sig" as "t_sig", $"col_idx" as "t_col")
+    val sSig = idx.signatures.select($"attr" as "s_attr", $"measure", $"sig" as "s_sig", $"col_idx" as "s_col")
     val scored = collided
       .join(tSig, Seq("t_attr", "measure"))
       .join(sSig, Seq("s_attr", "measure"))
       .withColumn("sim", simUdf($"measure", $"t_sig", $"s_sig"))
-      .select("measure", "t_attr", "t_table", "s_attr", "s_table", "sim")
+      .select("measure", "t_attr", "t_table", "t_col", "s_attr", "s_table", "s_col", "sim")
 
     // Similarity → probability by empirical CDF per (measure, target attr);
     // ensemble over measures = max (the paper's characterisation of TUS).
@@ -187,7 +185,7 @@ object Tus {
     val wAttr = Window.partitionBy("measure", "t_attr")
     val probs = scored
       .withColumn("prob", cume_dist().over(wAttr.orderBy($"sim")))
-    val pairScore = probs.groupBy("t_table", "t_attr", "s_table", "s_attr")
+    val pairScore = probs.groupBy("t_table", "t_attr", "t_col", "s_table", "s_attr", "s_col")
       .agg(max($"prob") as "p")
 
     val perTargetAttr = pairScore.groupBy("t_table", "t_attr", "s_table")
@@ -203,8 +201,6 @@ object Tus {
         Window.partitionBy("t_table").orderBy($"score".desc, $"s_table".asc)))
 
     val alignments = pairScore
-      .withColumn("t_col", split($"t_attr", "#").getItem(1).cast("int"))
-      .withColumn("s_col", split($"s_attr", "#").getItem(1).cast("int"))
       .groupBy("t_table", "t_col", "s_table", "s_col")
       .agg(max($"p") as "best_p")
 

@@ -24,7 +24,8 @@ object D3L {
     *  - ranking:     t_table, s_table, dN..dD, score, rank (1 = most related)
     *  - alignments:  t_table, t_col, s_table, s_col, best_dist
     *  - tablePairs:  t_table, s_table — "some index relates S to T", the
-    *                 Algorithm 3 guard set
+    *                 Algorithm 3 guard set: every candidate table is scored,
+    *                 so these are the ranking's pairs
     */
   final case class QueryResult(ranking: DataFrame, alignments: DataFrame, tablePairs: DataFrame)
 
@@ -67,7 +68,7 @@ object D3L {
   def queryTable(spark: SparkSession, idx: LakeIndexes, target: LakeTable,
                  cfg: D3LConfig = D3LConfig(), excludeId: Option[String] = None): QueryResult = {
     val lake = idx.serving
-    val t = ServingIndex.of(Seq(FeatureExtraction.extractTable(target, cfg, lake.embeddings.get)))
+    val t = ServingIndex.of(Seq(FeatureExtraction.extractTable(target, cfg, idx.embeddings.get)))
     search(spark, t, t.attrs, lake, cfg, excludeId.toSet)
   }
 
@@ -76,7 +77,7 @@ object D3L {
     search(spark, t.serving, t.serving.attrs, s.serving, cfg)
 
   /** Answer rows of one target table. */
-  private final case class TableAnswer(ranking: Seq[Row], alignments: Seq[Row], tablePairs: Seq[Row])
+  private final case class TableAnswer(ranking: Seq[Row], alignments: Seq[Row])
 
   /** The query pipeline: `targets`, attributes of the index `from`, against
     * `lake`. Tables in `exclude`, and every target's own table, are dropped
@@ -92,9 +93,9 @@ object D3L {
     val answers = onCores(targets.map(_.tableId).distinct) { id =>
       searchTable(from, byTable(id).toIndexedSeq, lake, excluded, ew, cfg.tau)
     }
-    QueryResult(local(spark, rankingSchema, answers.flatMap(_.ranking)),
-      local(spark, alignmentSchema, answers.flatMap(_.alignments)),
-      local(spark, pairSchema, answers.flatMap(_.tablePairs)))
+    val ranking = local(spark, rankingSchema, answers.flatMap(_.ranking))
+    QueryResult(ranking, local(spark, alignmentSchema, answers.flatMap(_.alignments)),
+      ranking.select("t_table", "s_table"))
   }
 
   /** Workers for the target tables of batched queries, one per core. */
@@ -243,7 +244,7 @@ object D3L {
       Row(tableId, t.colIdx, s.tableId, s.colIdx, best(k))
     }
 
-    TableAnswer(ranking, alignments, cands.toVector.map(st => Row(tableId, lake.tableIds(st))))
+    TableAnswer(ranking, alignments)
   }
 
   private val rankingSchema = StructType(
@@ -255,9 +256,6 @@ object D3L {
     StructField("t_table", StringType, nullable = false), StructField("t_col", IntegerType, nullable = false),
     StructField("s_table", StringType, nullable = false), StructField("s_col", IntegerType, nullable = false),
     StructField("best_dist", DoubleType, nullable = false)))
-
-  private val pairSchema = StructType(Seq(
-    StructField("t_table", StringType, nullable = false), StructField("s_table", StringType, nullable = false)))
 
   /** A local DataFrame: filtering and collecting it runs on the driver
     * without a Spark job.

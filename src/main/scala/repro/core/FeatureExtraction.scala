@@ -1,7 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.lake.LakeTable
 import repro.text.{Embeddings, FormatRegex, Tokenizer}
 import repro.lsh.{Banding, MinHash, RandomProjection}
@@ -18,11 +18,13 @@ import repro.lsh.{Banding, MinHash, RandomProjection}
   *
   * [[extract]] applies the kernel to every table of a long-format lake
   * (`table_id, col_idx, col_name, row_idx, value`) on Spark and keeps its
-  * output as one `Dataset[TableFeatures]`; the only lake-wide aggregation is
-  * embedding training. The serving index bands that output on the driver
-  * ([[bucketsOf]]), and the [[LakeIndexes]] frames are views derived from
-  * it. A query target is extracted on the driver by calling the kernel
-  * directly.
+  * output as one `Dataset[TableFeatures]`. The only lake-wide aggregation is
+  * embedding training ([[trainEmbeddings]]), one shuffle of the value-level
+  * word co-occurrences by token; the trained model is collected to the
+  * driver once and kept there as [[LakeIndexes.embeddings]]. The serving
+  * index bands the features on the driver ([[bucketsOf]]), and the
+  * [[LakeIndexes]] frames are views derived from them. A query target is
+  * extracted on the driver by calling the kernel directly.
   */
 object FeatureExtraction {
 
@@ -102,26 +104,22 @@ object FeatureExtraction {
     TableFeatures(tableId, profiles, sigs.result(), samples.result(), SubjectAttribute.predict(profiles))
   }
 
-  /** Embedding-training input of one table: (attr, row, token) for every
-    * word of every non-empty value of its textual attributes, in order.
+  /** Embedding-training input of one table: the words of every non-empty
+    * value of its textual attributes, in order, one list per value.
     */
-  private def trainingTokens(tableId: String, columns: Seq[ColumnValues], cfg: D3LConfig): Seq[(String, Long, String)] =
+  private def trainingTokens(columns: Seq[ColumnValues], cfg: D3LConfig): Seq[Seq[String]] =
     columns.filterNot { c =>
       val vals = c.values.filter(nonEmpty)
       isNumeric(vals, numericFrac(vals), cfg)
-    }.flatMap { c =>
-      val attr = attrId(tableId, c.colIdx)
-      c.values.zipWithIndex.collect { case (v, row) if nonEmpty(v) =>
-        Tokenizer.partWords(v).flatten.map(w => (attr, row.toLong, w))
-      }.flatten
-    }
+    }.flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
 
   /** Build the index of a lake: the kernel runs once per table inside a
     * `groupByKey` on `table_id`, and its output is the one features dataset
     * the index holds (cached on first use; [[LakeIndexes.cacheAll]]
-    * materialises it). When `reuseEmbeddings` is given (a query target), the
-    * lake-trained token embeddings are used instead of retraining on the
-    * (tiny) input; the target's index then does not own them.
+    * materialises it). The token embeddings are trained on the lake,
+    * collected once to the driver and broadcast to the kernel. When
+    * `reuseEmbeddings` is given (a query target), that model is collected
+    * instead of retraining on the (tiny) input.
     */
   def extract(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig(),
               reuseEmbeddings: Option[DataFrame] = None): LakeIndexes = {
@@ -140,29 +138,26 @@ object FeatureExtraction {
       }
 
     // ---- 𝔼: random-indexing embeddings (DESIGN.md §4.1) --------------------
-    val tokenEmbeddings = reuseEmbeddings.getOrElse {
-      val toks = tables.flatMap { case (id, cols) => trainingTokens(id, cols, cfg) }
-        .toDF("attr", "row_idx", "token")
-      trainEmbeddings(spark, toks).cache()
-    }
-    val vectors = tokenEmbeddings.select("token", "vec").as[(String, Array[Float])].collect().toMap
-    val shipped = spark.sparkContext.broadcast(vectors)
+    val model = reuseEmbeddings.getOrElse(
+      trainEmbeddings(spark, tables.flatMap { case (_, cols) => trainingTokens(cols, cfg) }))
+    val embeddings = model.select("token", "vec").as[(String, Array[Float])].collect().toMap
+    val shipped = spark.sparkContext.broadcast(embeddings)
 
     val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }.cache()
-    new LakeIndexes(features, tokenEmbeddings, vectors, ownsEmbeddings = reuseEmbeddings.isEmpty)
+    new LakeIndexes(features, embeddings)
   }
 
-  /** Random-indexing training: a token's embedding is the sum over all of
-    * its value-level co-occurrences of the co-token's deterministic ±1 base
-    * vector (self included so single-token values still embed).
+  /** Random-indexing training over the words of each value: a token's
+    * embedding is the sum over all of its co-occurrences among the first 12
+    * words of a value of the co-token's deterministic ±1 base vector (self
+    * included so single-token values still embed). Sums of ±1 are exact in
+    * `Float`, so the result does not depend on the order of the terms.
     */
-  def trainEmbeddings(spark: SparkSession, toks: DataFrame): DataFrame = {
+  def trainEmbeddings(spark: SparkSession, values: Dataset[Seq[String]]): DataFrame = {
     import spark.implicits._
-    toks
-      .select($"attr", $"row_idx", $"token").as[(String, Long, String)]
-      .groupByKey(t => (t._1, t._2))
-      .flatMapGroups { (_, it) =>
-        val ts = it.map(_._3).take(12).toSeq
+    values
+      .flatMap { ws =>
+        val ts = ws.take(12)
         ts.flatMap(t => ts.map(u => (t, u)))
       }
       .groupByKey(_._1)

@@ -33,7 +33,14 @@ final case class D3LConfig(
     /** Eq. 3 evidence weights (N, V, F, E, D order); uniform until trained. */
     evidenceWeights: Map[String, Double] =
       Evidence.all.map(_ -> 1.0).toMap,
-)
+) {
+  require(evidenceWeights.keySet == Evidence.all.toSet,
+    s"evidenceWeights must have exactly the keys ${Evidence.all.mkString(", ")}, " +
+      s"got ${evidenceWeights.keys.toSeq.sorted.mkString(", ")}")
+  require(evidenceWeights.values.forall(w => w >= 0 && !w.isInfinite),
+    s"evidence weights must be finite and non-negative, got $evidenceWeights")
+  require(evidenceWeights.values.sum > 0, s"evidence weights must have a positive sum, got $evidenceWeights")
+}
 
 /** Catalog entry of one attribute (one row of `LakeIndexes.catalog`). */
 final case class AttrProfile(
@@ -72,12 +79,15 @@ final case class TableFeatures(
 
 /** The lake's D³L index: Algorithm 1's output per table ([[features]],
   * built on Spark by [[FeatureExtraction.extract]]) and the lake-trained
-  * token embeddings. Queries are answered from [[serving]], the features
-  * collected once into driver memory and banded there.
+  * token embeddings ([[embeddings]], the lake's one copy of its model, held
+  * on the driver). Queries are answered from [[serving]], the features
+  * collected once into driver memory and banded there, and embed unseen
+  * targets with [[embeddings]].
   *
-  * The frames below are lazy views derived from `features`, for inspection,
-  * space accounting (Exp. 7) and tests; neither the build nor the query path
-  * reads them.
+  * The frames below are lazy views, for inspection, space accounting
+  * (Exp. 7) and tests; neither the build nor the query path reads them.
+  * All but `tokenEmbeddings` are derived from `features`;
+  * `tokenEmbeddings` is a local frame of [[embeddings]].
   *
   *  - catalog:          attr, table_id, col_idx, col_name, n_values,
   *                      n_distinct, null_frac, avg_len, numeric_frac,
@@ -86,18 +96,15 @@ final case class TableFeatures(
   *  - buckets:          evidence, band, bucket, attr, table_id  — the indexes
   *  - numericProfiles:  attr, sample (sorted array<double>), table_id, col_idx
   *  - subjects:         table_id, col_idx, attr — predicted subject attribute
-  *  - tokenEmbeddings:  token, vec (array<float>) — needed to embed unseen
-  *                      target values at query time
+  *  - tokenEmbeddings:  token, vec (array<float>)
   *
-  * `ownsEmbeddings` is false when the embeddings were reused from another
-  * index, as a query target's are: [[unpersistAll]] then leaves them cached.
+  * [[cacheAll]] and [[unpersistAll]] persist and release `features`, the
+  * only dataset an index persists.
   */
 final class LakeIndexes private[core] (
     val features: Dataset[TableFeatures],
-    val tokenEmbeddings: DataFrame,
-    /** `tokenEmbeddings` as collected on the driver for the build. */
-    vectors: Map[String, Array[Float]],
-    ownsEmbeddings: Boolean,
+    /** Lake-trained token → vector. */
+    val embeddings: Map[String, Array[Float]],
 ) {
   private val spark = features.sparkSession
   import spark.implicits._
@@ -118,16 +125,15 @@ final class LakeIndexes private[core] (
   lazy val subjects: DataFrame = features
     .flatMap(f => f.subject.map(c => (f.tableId, c, FeatureExtraction.attrId(f.tableId, c))))
     .toDF("table_id", "col_idx", "attr")
+  lazy val tokenEmbeddings: DataFrame = embeddings.toSeq.toDF("token", "vec")
 
   /** Driver-resident form of the index, collected on first use. */
-  lazy val serving: ServingIndex = ServingIndex.of(features.collect().toSeq, vectors)
-
-  /** What this index persists: the features, and the embeddings if it trained them. */
-  private def owned: Seq[Dataset[_]] = if (ownsEmbeddings) Seq(features, tokenEmbeddings) else Seq(features)
+  lazy val serving: ServingIndex = ServingIndex.of(features.collect().toSeq)
 
   def cacheAll(): LakeIndexes = {
-    owned.foreach { ds => if (ds.storageLevel == StorageLevel.NONE) ds.cache(); ds.count() }
+    if (features.storageLevel == StorageLevel.NONE) features.cache()
+    features.count()
     this
   }
-  def unpersistAll(): Unit = owned.foreach(_.unpersist())
+  def unpersistAll(): Unit = features.unpersist()
 }

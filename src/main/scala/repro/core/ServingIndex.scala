@@ -29,12 +29,13 @@ final case class ServedAttr(
     sample: Option[Array[Double]],
 )
 
-/** Immutable, driver-resident form of [[LakeIndexes]]: the bucket map
-  * (evidence, band, bucket) → attributes, signatures, numeric samples,
-  * subject attributes and token embeddings. The per-table features are
-  * built on Spark and collected once; queries probe this structure in plain
-  * Scala and start no Spark job (DESIGN.md §2, "Build on Spark, serve from
-  * the driver").
+/** Immutable, driver-resident probe structure of [[LakeIndexes]]: the
+  * bucket map (evidence, band, bucket) → attributes, signatures, numeric
+  * samples and subject attributes. The per-table features are built on
+  * Spark and collected once; queries probe this structure in plain Scala
+  * and start no Spark job (DESIGN.md §2, "Build on Spark, serve from the
+  * driver"). The lake's embedding model is not part of it: a query target
+  * is embedded with [[LakeIndexes.embeddings]].
   *
   * Attributes, tables and buckets carry dense `Int` ids, so the query path
   * dedupes and accumulates into arrays instead of hashing strings. Per
@@ -49,8 +50,6 @@ final class ServingIndex private (
     private val keys: Array[BucketKey],
     /** Bucket id → ids of the attributes in it, ascending. */
     postings: Array[Array[Int]],
-    /** Lake-trained token → vector, used to embed unseen target values. */
-    val embeddings: Map[String, Array[Float]],
 ) {
   private val tableIndex: Map[String, Int] = tableIds.iterator.zipWithIndex.toMap
 
@@ -92,10 +91,9 @@ final class ServingIndex private (
 object ServingIndex {
 
   /** Serving form of extracted tables, lake or query target alike: every
-    * signature is banded here by [[FeatureExtraction.bucketsOf]]. A target
-    * has no embeddings of its own, as it is embedded with the lake's model.
+    * signature is banded here by [[FeatureExtraction.bucketsOf]].
     */
-  def of(tables: Seq[TableFeatures], embeddings: Map[String, Array[Float]] = Map.empty): ServingIndex = {
+  def of(tables: Seq[TableFeatures]): ServingIndex = {
     val nIndexed = Evidence.indexed.size
     val bucketIds = mutable.HashMap.empty[BucketKey, Int]
     val postings = mutable.ArrayBuffer.empty[mutable.ArrayBuilder.ofInt]
@@ -123,6 +121,6 @@ object ServingIndex {
     val keys = new Array[BucketKey](bucketIds.size)
     bucketIds.foreach { case (k, b) => keys(b) = k }
     new ServingIndex(ArraySeq.from(attrs), tables.map(_.tableId).toIndexedSeq, bucketIds, keys,
-      postings.iterator.map(_.result()).toArray, embeddings)
+      postings.iterator.map(_.result()).toArray)
   }
 }

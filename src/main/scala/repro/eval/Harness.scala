@@ -1,6 +1,6 @@
 package repro.eval
 
-import java.nio.file.{Files, Path, Paths}
+import java.nio.file.{Files, Paths}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{Aurum, SyntheticKB, Tus}
 import repro.core._

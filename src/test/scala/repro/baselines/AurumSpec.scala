@@ -91,6 +91,18 @@ class AurumSpec extends SparkSpec {
     }
   }
 
+  test("table ids containing '#' keep their edges' column indexes") {
+    val plain = lake.tables.take(6)
+    val hashed = plain.map(t => t.copy(id = s"lake#${t.id}"))
+    def edges(tables: Seq[repro.lake.LakeTable], strip: String => String) =
+      Aurum.index(spark, LakeDf.toLong(spark, tables)).edges
+        .select("a_table", "a_col", "b_table", "b_col", "sim").collect()
+        .map(r => (strip(r.getString(0)), r.getInt(1), strip(r.getString(2)), r.getInt(3), r.getDouble(4))).toSet
+    val want = edges(plain, identity)
+    assert(want.nonEmpty)
+    assert(edges(hashed, _.stripPrefix("lake#")) == want)
+  }
+
   test("top of the Aurum ranking is enriched in truly related tables") {
     val top3 = result.ranking.filter(col("rank") <= 3).select("t_table", "s_table").collect()
     val hits = top3.count(r => lake.truth.related(r.getString(0), r.getString(1)))

@@ -58,6 +58,20 @@ class TusSpec extends SparkSpec {
     }
   }
 
+  test("table ids containing '#' keep their alignments' column indexes") {
+    val plain = lake.tables.take(6)
+    val hashed = plain.map(t => t.copy(id = s"lake#${t.id}"))
+    def aligned(tables: Seq[repro.lake.LakeTable], strip: String => String) = {
+      val i = Tus.index(spark, LakeDf.toLong(spark, tables), kb)
+      Tus.queryAll(spark, i, tables.take(2).map(_.id)).alignments
+        .select("t_table", "t_col", "s_table", "s_col", "best_p").collect()
+        .map(r => (strip(r.getString(0)), r.getInt(1), strip(r.getString(2)), r.getInt(3)) -> r.getDouble(4)).toMap
+    }
+    val want = aligned(plain, identity)
+    assert(want.nonEmpty)
+    assert(aligned(hashed, _.stripPrefix("lake#")) == want)
+  }
+
   test("queryTable works for an ad-hoc target and can exclude its lake copy") {
     val t = lake.tables.head
     val single = Tus.queryTable(spark, idx, t, excludeId = Some(t.id))

@@ -4,7 +4,6 @@ import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.lake.{Generators, LakeDf}
 
@@ -143,6 +142,21 @@ class D3LSpec extends SparkSpec {
     assert(reweighted != base)
   }
 
+  test("D3LConfig rejects evidence weights Eq. 3 cannot use") {
+    val uniform = Evidence.all.map(_ -> 1.0).toMap
+    Seq(
+      (uniform - Evidence.D, "exactly the keys"),
+      (uniform + ("X" -> 1.0), "exactly the keys"),
+      (uniform.updated(Evidence.V, -1.0), "finite and non-negative"),
+      (uniform.updated(Evidence.V, Double.NaN), "finite and non-negative"),
+      (uniform.updated(Evidence.V, Double.PositiveInfinity), "finite and non-negative"),
+      (uniform.map { case (e, _) => e -> 0.0 }, "positive sum"),
+    ).foreach { case (w, problem) =>
+      val e = intercept[IllegalArgumentException](D3LConfig(evidenceWeights = w))
+      assert(e.getMessage.contains(problem), e.getMessage)
+    }
+  }
+
   private def topK(res: D3L.QueryResult, target: String, k: Int): Seq[(String, Double, Int)] =
     res.ranking.filter(col("t_table") === target && col("rank") <= k)
       .select("s_table", "score", "rank").collect()
@@ -174,27 +188,32 @@ class D3LSpec extends SparkSpec {
     assert(e.getMessage.contains("no-such-table"))
   }
 
-  test("the build runs Algorithm 1 once per table: only features and embeddings are cached") {
+  test("the build runs Algorithm 1 once per table: only the features are cached") {
     val sc = spark.sparkContext
     long.count()
     val before = sc.getPersistentRDDs.keySet
     val built = D3L.index(spark, long)
-    val added = sc.getPersistentRDDs.keySet -- before
-    assert(added.size == 2, s"${added.size} datasets cached by the build")
+    val added = sc.getPersistentRDDs.keySet.diff(before)
+    assert(added.size == 1, s"${added.size} datasets cached by the build")
     built.unpersistAll()
     assert(sc.getPersistentRDDs.keySet == before, "unpersistAll left cached datasets behind")
   }
 
-  test("a target index reusing the lake's embeddings leaves them cached when released") {
-    val target = FeatureExtraction.extract(spark, LakeDf.toLong(spark, lake.tables.take(1)),
-      reuseEmbeddings = Some(idx.tokenEmbeddings)).cacheAll()
+  test("a target reusing the lake's embeddings has them and releases all it cached") {
+    val sc = spark.sparkContext
+    val targetLong = LakeDf.toLong(spark, lake.tables.take(1))
+    val lakeModel = idx.tokenEmbeddings // builds the lake index before the snapshot
+    val before = sc.getPersistentRDDs.keySet
+    val target = FeatureExtraction.extract(spark, targetLong, reuseEmbeddings = Some(lakeModel)).cacheAll()
     target.unpersistAll()
-    assert(idx.tokenEmbeddings.storageLevel != StorageLevel.NONE)
+    assert(sc.getPersistentRDDs.keySet == before, "the target left cached datasets behind")
+    assert(target.embeddings.keySet == idx.embeddings.keySet)
+    idx.embeddings.foreach { case (tok, v) => assert(target.embeddings(tok).toSeq == v.toSeq, tok) }
   }
 
   test("queryTable and its top-k collect start no Spark job and persist nothing") {
     val sc = spark.sparkContext
-    idx.serving.embeddings // index served before measuring
+    idx.serving // index served before measuring
     val persisted = sc.getPersistentRDDs.keySet
     val jobs = new AtomicInteger()
     val marker = new CountDownLatch(1)

@@ -2,7 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.lake.{LakeColumn, LakeDf, LakeTable}
+import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
+import repro.text.{Embeddings, Tokenizer}
 
 class FeatureExtractionSpec extends SparkSpec {
 
@@ -20,6 +21,60 @@ class FeatureExtractionSpec extends SparkSpec {
   )
 
   private lazy val idx = FeatureExtraction.extract(spark, LakeDf.toLong(spark, tinyTables))
+
+  private def assertSameModel(got: Map[String, Array[Float]], want: Map[String, Array[Float]]): Unit = {
+    assert(got.keySet == want.keySet)
+    want.foreach { case (tok, v) => assert(got(tok).toSeq == v.toSeq, s"vector of $tok") }
+  }
+
+  /** Embedding training as grouped by (attr, row): every word of every
+    * non-empty value of a textual attribute becomes an (attr, row, token)
+    * row, regrouped per value before pairing its first 12 words.
+    */
+  private def trainPerAttrRow(tables: Seq[LakeTable], idx: LakeIndexes): Map[String, Array[Float]] = {
+    import spark.implicits._
+    val textual = idx.catalog.filter(!col("is_numeric")).select("attr").as[String].collect().toSet
+    val toks = for {
+      t <- tables
+      (c, ci) <- t.columns.zipWithIndex
+      attr = FeatureExtraction.attrId(t.id, ci) if textual(attr)
+      (v, row) <- c.values.zipWithIndex if v != null && v.exists(_ != ' ')
+      w <- Tokenizer.partWords(v).flatten
+    } yield (attr, row.toLong, w)
+    toks.toDS()
+      .groupByKey(t => (t._1, t._2))
+      .flatMapGroups { (_, it) =>
+        val ts = it.map(_._3).take(12).toSeq
+        ts.flatMap(t => ts.map(u => (t, u)))
+      }
+      .groupByKey(_._1)
+      .mapGroups { (token, it) =>
+        val acc = new Array[Float](Embeddings.Dim)
+        it.foreach { case (_, other) => Embeddings.add(acc, Embeddings.baseVector(other)) }
+        (token, acc)
+      }
+      .collect().toMap
+  }
+
+  for ((name, lake) <- Seq(
+      "Synthetic" -> Generators.synthetic(nBases = 4, derivedPerBase = 5, baseRows = 60, seed = 61),
+      "Smaller Real" -> Generators.smallerReal(nClusters = 3, tablesPerCluster = 5, poolSize = 80, seed = 62)))
+    test(s"per-value training equals training grouped by (attr, row) on a $name lake") {
+      val lakeIdx = FeatureExtraction.extract(spark, LakeDf.toLong(spark, lake.tables))
+      assertSameModel(lakeIdx.embeddings, trainPerAttrRow(lake.tables, lakeIdx))
+    }
+
+  test("a value contributes only the co-occurrences of its first 12 words") {
+    import spark.implicits._
+    val words = (1 to 15).map(i => s"w$i")
+    val got = FeatureExtraction.trainEmbeddings(spark, Seq(words, Seq("w1")).toDS())
+      .as[(String, Array[Float])].collect().toMap
+    val first = words.take(12)
+    val context = first.map(Embeddings.baseVector).foldLeft(new Array[Float](Embeddings.Dim))(Embeddings.add)
+    val want = first.map(w => w -> context.clone()).toMap
+    Embeddings.add(want("w1"), Embeddings.baseVector("w1"))
+    assertSameModel(got, want)
+  }
 
   test("catalog has one row per attribute") {
     assert(idx.catalog.count() == 5)
@@ -123,8 +178,6 @@ class FeatureExtractionSpec extends SparkSpec {
   test("tset excludes per-part frequent words but keeps rare ones") {
     // In t1's Address column, 'street' appears twice (frequent within parts
     // containing it) while 'portland' is unique — the tset keeps 'portland'.
-    val long = LakeDf.toLong(spark, tinyTables)
-    val toks = long.filter(col("table_id") === "t1" && col("col_idx") === 1)
     // Reconstruct via public API: the V signature must differ from a
     // signature over ALL tokens (frequent ones dropped).
     import repro.lsh.MinHash
@@ -155,7 +208,7 @@ class FeatureExtractionSpec extends SparkSpec {
   test("reuseEmbeddings skips retraining and uses the provided model") {
     val single = LakeDf.toLong(spark, tinyTables.take(1))
     val idx2 = FeatureExtraction.extract(spark, single, reuseEmbeddings = Some(idx.tokenEmbeddings))
-    assert(idx2.tokenEmbeddings eq idx.tokenEmbeddings)
+    assertSameModel(idx2.embeddings, idx.embeddings)
     assert(idx2.signatures.filter(col("evidence") === "E").count() > 0)
   }
 
