@@ -33,12 +33,13 @@ object Tus {
       tokenEmbeddings: DataFrame,
       kbPath: String,
   ) {
+    // tokenEmbeddings is a local frame of the trained model: nothing to cache.
     def cacheAll(): TusIndexes = {
-      Seq(catalog, signatures, buckets, tokenEmbeddings).foreach(df => { df.cache(); df.count() })
+      Seq(catalog, signatures, buckets).foreach(df => { df.cache(); df.count() })
       this
     }
     def unpersistAll(): Unit =
-      Seq(catalog, signatures, buckets, tokenEmbeddings).foreach(_.unpersist())
+      Seq(catalog, signatures, buckets).foreach(_.unpersist())
   }
 
   final case class TusResult(ranking: DataFrame, alignments: DataFrame)
@@ -101,7 +102,8 @@ object Tus {
 
     // NL: mean embedding of the distinct tokens (embeddings trained on the
     // lake corpus, shared substitute for TUS's pretrained vectors).
-    val tokenEmbeddings = reuseEmbeddings.getOrElse(FeatureExtraction.trainEmbeddings(spark, values.map(_._2)))
+    val tokenEmbeddings = reuseEmbeddings.getOrElse(
+      FeatureExtraction.trainEmbeddings(values.rdd.map(_._2)).toSeq.toDF("token", "vec"))
     val sigNl = attrTokens.join(tokenEmbeddings, Seq("token"))
       .select($"attr", $"vec").as[(String, Array[Float])]
       .groupByKey(_._1)

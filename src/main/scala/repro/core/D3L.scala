@@ -44,12 +44,9 @@ object D3L {
     if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
     else 1.0 - MinHash.estimateJaccard(a, b)
 
-  /** Build the lake indexes on Spark and collect their serving form. */
-  def index(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig()): LakeIndexes = {
-    val idx = FeatureExtraction.extract(spark, lakeLong, cfg).cacheAll()
-    idx.serving
-    idx
-  }
+  /** Build the lake's index on Spark into its driver-resident form. */
+  def index(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig()): LakeIndexes =
+    FeatureExtraction.extract(spark, lakeLong, cfg)
 
   /** Batched query: each of `targetIds` (lake members) against the whole
     * lake, reusing their stored signatures; self-matches excluded.

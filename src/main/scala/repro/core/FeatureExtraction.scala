@@ -1,7 +1,8 @@
 package repro.core
 
 import scala.collection.mutable
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.lake.LakeTable
 import repro.text.{Embeddings, FormatRegex, Tokenizer}
 import repro.lsh.{Banding, MinHash, RandomProjection}
@@ -17,13 +18,13 @@ import repro.lsh.{Banding, MinHash, RandomProjection}
   * that *are* the four LSH indexes.
   *
   * [[extract]] applies the kernel to every table of a long-format lake
-  * (`table_id, col_idx, col_name, row_idx, value`) on Spark and keeps its
-  * output as one `Dataset[TableFeatures]`. The only lake-wide aggregation is
-  * embedding training ([[trainEmbeddings]]), one shuffle of the value-level
-  * word co-occurrences by token; the trained model is collected to the
+  * (`table_id, col_idx, col_name, row_idx, value`) on Spark and collects its
+  * output to the driver, where [[LakeIndexes]] holds it. The only lake-wide
+  * aggregation is embedding training ([[trainEmbeddings]]), one shuffle of
+  * per-partition token sums by token; the trained model is collected to the
   * driver once and kept there as [[LakeIndexes.embeddings]]. The serving
   * index bands the features on the driver ([[bucketsOf]]), and the
-  * [[LakeIndexes]] frames are views derived from them. A query target is
+  * [[LakeIndexes]] frames are local views of them. A query target is
   * extracted on the driver by calling the kernel directly.
   */
 object FeatureExtraction {
@@ -113,13 +114,15 @@ object FeatureExtraction {
       isNumeric(vals, numericFrac(vals), cfg)
     }.flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
 
-  /** Build the index of a lake: the kernel runs once per table inside a
-    * `groupByKey` on `table_id`, and its output is the one features dataset
-    * the index holds (cached on first use; [[LakeIndexes.cacheAll]]
-    * materialises it). The token embeddings are trained on the lake,
-    * collected once to the driver and broadcast to the kernel. When
-    * `reuseEmbeddings` is given (a query target), that model is collected
-    * instead of retraining on the (tiny) input.
+  /** Build the index of a lake in two Spark jobs. The long lake is
+    * regrouped by `table_id` once, into `defaultParallelism` partitions, and
+    * both consumers read that one shuffle's output: embedding training
+    * ([[trainEmbeddings]], whose model is collected to the driver and
+    * broadcast to the kernel) and the kernel, which runs once per table and
+    * whose output is collected straight to the driver, sorted by table id so
+    * that dense ids do not depend on the partitioning. Nothing stays
+    * persisted in Spark. When `reuseEmbeddings` is given (a query target),
+    * that model is collected instead of retraining on the (tiny) input.
     */
   def extract(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig(),
               reuseEmbeddings: Option[DataFrame] = None): LakeIndexes = {
@@ -128,44 +131,48 @@ object FeatureExtraction {
     val tables = lakeLong
       .select($"table_id", $"col_idx", $"col_name", $"row_idx", $"value")
       .as[(String, Int, String, Long, String)]
-      .groupByKey(_._1)
-      .mapGroups { (id, rows) =>
-        val cols = rows.toSeq.groupBy(_._2).toSeq.map { case (ci, rs) =>
-          val sorted = rs.sortBy(_._4)
-          ColumnValues(ci, sorted.head._3, sorted.map(_._5))
+      .rdd
+      .map { case (id, ci, name, row, v) => (id, (ci, name, row, v)) }
+      .groupByKey(spark.sparkContext.defaultParallelism)
+      .mapValues { rows =>
+        rows.toSeq.groupBy(_._1).toSeq.map { case (ci, rs) =>
+          val sorted = rs.sortBy(_._3)
+          ColumnValues(ci, sorted.head._2, sorted.map(_._4))
         }
-        (id, cols)
       }
 
     // ---- 𝔼: random-indexing embeddings (DESIGN.md §4.1) --------------------
-    val model = reuseEmbeddings.getOrElse(
-      trainEmbeddings(spark, tables.flatMap { case (_, cols) => trainingTokens(cols, cfg) }))
-    val embeddings = model.select("token", "vec").as[(String, Array[Float])].collect().toMap
+    val embeddings = reuseEmbeddings match {
+      case Some(model) => model.select("token", "vec").as[(String, Array[Float])].collect().toMap
+      case None => trainEmbeddings(tables.flatMap { case (_, cols) => trainingTokens(cols, cfg) })
+    }
     val shipped = spark.sparkContext.broadcast(embeddings)
-
-    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }.cache()
-    new LakeIndexes(features, embeddings)
+    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }
+      .collect().sortBy(_.tableId).toSeq
+    shipped.destroy()
+    new LakeIndexes(spark, features, embeddings)
   }
 
   /** Random-indexing training over the words of each value: a token's
     * embedding is the sum over all of its co-occurrences among the first 12
     * words of a value of the co-token's deterministic ±1 base vector (self
-    * included so single-token values still embed). Sums of ±1 are exact in
-    * `Float`, so the result does not depend on the order of the terms.
+    * included so single-token values still embed). Each partition sums its
+    * values' contributions per token before the one shuffle by token. Sums
+    * of ±1 are exact in `Float`, so the result does not depend on the order
+    * or grouping of the terms.
     */
-  def trainEmbeddings(spark: SparkSession, values: Dataset[Seq[String]]): DataFrame = {
-    import spark.implicits._
+  def trainEmbeddings(values: RDD[Seq[String]]): Map[String, Array[Float]] =
     values
-      .flatMap { ws =>
-        val ts = ws.take(12)
-        ts.flatMap(t => ts.map(u => (t, u)))
+      .mapPartitions { it =>
+        val sums = mutable.HashMap.empty[String, Array[Float]]
+        it.foreach { ws =>
+          val ts = ws.take(12)
+          val context = ts.foldLeft(new Array[Float](Embeddings.Dim))((acc, u) =>
+            Embeddings.add(acc, Embeddings.baseVector(u)))
+          ts.foreach(t => Embeddings.add(sums.getOrElseUpdate(t, new Array[Float](Embeddings.Dim)), context))
+        }
+        sums.iterator
       }
-      .groupByKey(_._1)
-      .mapGroups { (token, it) =>
-        val acc = new Array[Float](Embeddings.Dim)
-        it.foreach { case (_, other) => Embeddings.add(acc, Embeddings.baseVector(other)) }
-        (token, acc)
-      }
-      .toDF("token", "vec")
-  }
+      .reduceByKey(Embeddings.add(_, _))
+      .collect().toMap
 }

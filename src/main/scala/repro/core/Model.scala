@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.storage.StorageLevel
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Shared identifiers and configuration for the D³L pipeline. */
 object Evidence {
@@ -77,17 +76,17 @@ final case class TableFeatures(
     subject: Option[Int],
 )
 
-/** The lake's D³L index: Algorithm 1's output per table ([[features]],
-  * built on Spark by [[FeatureExtraction.extract]]) and the lake-trained
-  * token embeddings ([[embeddings]], the lake's one copy of its model, held
-  * on the driver). Queries are answered from [[serving]], the features
-  * collected once into driver memory and banded there, and embed unseen
-  * targets with [[embeddings]].
+/** The lake's D³L index, held on the driver: Algorithm 1's output per
+  * table ([[features]], built on Spark by [[FeatureExtraction.extract]] and
+  * collected once, sorted by table id), the lake-trained token embeddings
+  * ([[embeddings]], the lake's one copy of its model) and [[serving]], the
+  * features banded into the probe structure that answers queries. Unseen
+  * query targets are embedded with [[embeddings]]. After the build no Spark
+  * state remains: nothing is persisted or broadcast.
   *
-  * The frames below are lazy views, for inspection, space accounting
-  * (Exp. 7) and tests; neither the build nor the query path reads them.
-  * All but `tokenEmbeddings` are derived from `features`;
-  * `tokenEmbeddings` is a local frame of [[embeddings]].
+  * The frames below are lazy local views of `features` (`tokenEmbeddings`
+  * of [[embeddings]]), for inspection, space accounting (Exp. 7) and tests;
+  * neither the build nor the query path reads them.
   *
   *  - catalog:          attr, table_id, col_idx, col_name, n_values,
   *                      n_distinct, null_frac, avg_len, numeric_frac,
@@ -98,15 +97,16 @@ final case class TableFeatures(
   *  - subjects:         table_id, col_idx, attr — predicted subject attribute
   *  - tokenEmbeddings:  token, vec (array<float>)
   *
-  * [[cacheAll]] and [[unpersistAll]] persist and release `features`, the
-  * only dataset an index persists.
+  * [[cacheAll]] and [[unpersistAll]] have nothing to persist or release;
+  * they remain for callers written against the Spark-cached index.
   */
 final class LakeIndexes private[core] (
-    val features: Dataset[TableFeatures],
+    spark: SparkSession,
+    /** Algorithm 1's output, one entry per table, in table-id order. */
+    val features: Seq[TableFeatures],
     /** Lake-trained token → vector. */
     val embeddings: Map[String, Array[Float]],
 ) {
-  private val spark = features.sparkSession
   import spark.implicits._
 
   lazy val catalog: DataFrame = features.flatMap(_.profiles)
@@ -127,13 +127,9 @@ final class LakeIndexes private[core] (
     .toDF("table_id", "col_idx", "attr")
   lazy val tokenEmbeddings: DataFrame = embeddings.toSeq.toDF("token", "vec")
 
-  /** Driver-resident form of the index, collected on first use. */
-  lazy val serving: ServingIndex = ServingIndex.of(features.collect().toSeq)
+  /** Driver-resident probe structure of the index. */
+  val serving: ServingIndex = ServingIndex.of(features)
 
-  def cacheAll(): LakeIndexes = {
-    if (features.storageLevel == StorageLevel.NONE) features.cache()
-    features.count()
-    this
-  }
-  def unpersistAll(): Unit = features.unpersist()
+  def cacheAll(): LakeIndexes = this
+  def unpersistAll(): Unit = ()
 }

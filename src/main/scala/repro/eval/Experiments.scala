@@ -65,10 +65,10 @@ object Experiments {
       val lake = Generators.scaling(n, seed = 13)
       val long = LakeDf.toLong(spark, lake.tables).cache()
       long.count()
-      val (d3lIdx, tD3l) = Harness.time { D3L.index(spark, long) }
+      val (_, tD3l) = Harness.time { D3L.index(spark, long) }
       val (tusIdx, tTus) = Harness.time { Tus.index(spark, long, kbPath).cacheAll() }
       val (aurumIdx, tAurum) = Harness.time { Aurum.index(spark, long) }
-      d3lIdx.unpersistAll(); tusIdx.unpersistAll()
+      tusIdx.unpersistAll()
       Seq(aurumIdx.catalog, aurumIdx.signatures, aurumIdx.buckets, aurumIdx.edges).foreach(_.unpersist())
       long.unpersist()
       Seq(TimeRow("d3l", n, tD3l), TimeRow("tus", n, tTus), TimeRow("aurum", n, tAurum))

@@ -188,15 +188,61 @@ class D3LSpec extends SparkSpec {
     assert(e.getMessage.contains("no-such-table"))
   }
 
-  test("the build runs Algorithm 1 once per table: only the features are cached") {
+  /** Spark jobs `body` starts on this thread. Listener events arrive in
+    * order: once a marker job is seen, every job `body` started has been
+    * seen too.
+    */
+  private def jobsStartedBy(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger()
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
+          case Some("under-test") => jobs.incrementAndGet()
+          case Some("under-test-marker") => marker.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("under-test", "jobs under test")
+      body
+      sc.setJobGroup("under-test-marker", "listener marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(marker.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    jobs.get
+  }
+
+  test("D3L.index leaves no persistent RDD") {
     val sc = spark.sparkContext
     long.count()
     val before = sc.getPersistentRDDs.keySet
-    val built = D3L.index(spark, long)
+    D3L.index(spark, long)
     val added = sc.getPersistentRDDs.keySet.diff(before)
-    assert(added.size == 1, s"${added.size} datasets cached by the build")
-    built.unpersistAll()
-    assert(sc.getPersistentRDDs.keySet == before, "unpersistAll left cached datasets behind")
+    assert(added.isEmpty, s"${added.size} datasets persisted by the build")
+  }
+
+  test("D3L.index runs two Spark jobs: embedding training and Algorithm 1's collect") {
+    long.count()
+    val jobs = jobsStartedBy(D3L.index(spark, long))
+    assert(jobs == 2, s"$jobs Spark jobs started by D3L.index")
+  }
+
+  test("the index does not depend on the long lake's row order or partitioning") {
+    def answer(i: LakeIndexes) = {
+      val res = D3L.queryAll(spark, i, targets)
+      (i.serving.tableIds, i.serving.attrs.map(a => (a.id, a.tableId, a.colIdx)),
+        res.ranking.collect().toSeq, res.alignments.collect().toSeq)
+    }
+    val want = answer(idx)
+    Seq("shuffled rows" -> long.orderBy(rand(7)), "7 partitions" -> long.repartition(7)).foreach {
+      case (how, variant) => assert(answer(D3L.index(spark, variant)) == want, how)
+    }
   }
 
   test("a target reusing the lake's embeddings has them and releases all it cached") {
@@ -213,36 +259,16 @@ class D3LSpec extends SparkSpec {
 
   test("queryTable and its top-k collect start no Spark job and persist nothing") {
     val sc = spark.sparkContext
-    idx.serving // index served before measuring
+    idx // index built before measuring
     val persisted = sc.getPersistentRDDs.keySet
-    val jobs = new AtomicInteger()
-    val marker = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
-          case Some("served-query") => jobs.incrementAndGet()
-          case Some("served-query-marker") => marker.countDown()
-          case _ =>
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("served-query", "queryTable under test")
+    val jobs = jobsStartedBy {
       (0 until 20).foreach { i =>
         val t = lake.tables(i % lake.tables.size)
         D3L.queryTable(spark, idx, t, excludeId = Some(t.id))
           .ranking.filter(col("rank") <= 4).select("s_table", "score", "rank").collect()
       }
-      // Listener events arrive in order: once the marker job is seen, every
-      // job the queries might have started has been seen too.
-      sc.setJobGroup("served-query-marker", "listener marker")
-      sc.parallelize(Seq(1), 1).count()
-      assert(marker.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
     }
-    assert(jobs.get == 0, s"${jobs.get} Spark jobs started by queryTable")
+    assert(jobs == 0, s"$jobs Spark jobs started by queryTable")
     assert(sc.getPersistentRDDs.keySet == persisted, "queryTable left persisted RDDs behind")
   }
 }
