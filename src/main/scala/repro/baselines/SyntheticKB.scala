@@ -1,7 +1,7 @@
 package repro.baselines
 
 import java.sql.DriverManager
-import java.util.Properties
+import java.util.{Locale, Properties}
 import org.apache.spark.sql.DataFrame
 
 /** Synthetic knowledge base — the offline stand-in for YAGO in the TUS
@@ -21,7 +21,7 @@ object SyntheticKB {
   def entries: Seq[(String, String)] = {
     import repro.lake.Vocab._
     def words(xs: Seq[String], cls: String): Seq[(String, String)] =
-      xs.flatMap(_.split("\\s+")).map(w => (w.toLowerCase, cls))
+      xs.flatMap(_.split("\\s+")).map(w => (w.toLowerCase(Locale.ROOT), cls))
     (words(cities, "City") ++
       words(counties, "Region") ++
       words(firstNames, "GivenName") ++

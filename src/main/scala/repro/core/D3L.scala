@@ -20,28 +20,37 @@ import repro.stats.{Ccdf, KolmogorovSmirnov}
   */
 object D3L {
 
-  /** Result of one (batched) discovery query, as local DataFrames.
+  /** Result of one (batched) discovery query, as local DataFrames, each
+    * built on its first access (a caller that reads only `ranking` pays
+    * for no other frame):
     *  - ranking:     t_table, s_table, dN..dD, score, rank (1 = most related)
     *  - alignments:  t_table, t_col, s_table, s_col, best_dist
     *  - tablePairs:  t_table, s_table — "some index relates S to T", the
     *                 Algorithm 3 guard set: every candidate table is scored,
     *                 so these are the ranking's pairs
     */
-  final case class QueryResult(ranking: DataFrame, alignments: DataFrame, tablePairs: DataFrame)
+  final class QueryResult(ranking0: => DataFrame, alignments0: => DataFrame, tablePairs0: => DataFrame) {
+    lazy val ranking: DataFrame = ranking0
+    lazy val alignments: DataFrame = alignments0
+    lazy val tablePairs: DataFrame = tablePairs0
+  }
+
+  object QueryResult {
+    def apply(ranking: => DataFrame, alignments: => DataFrame, tablePairs: => DataFrame): QueryResult =
+      new QueryResult(ranking, alignments, tablePairs)
+  }
 
   private val EvN = Evidence.all.indexOf(Evidence.N)
   private val EvF = Evidence.all.indexOf(Evidence.F)
   private val EvE = Evidence.all.indexOf(Evidence.E)
   private val EvD = Evidence.all.indexOf(Evidence.D)
 
-  /** Distance from two signatures given the evidence type: Jaccard estimate
-    * for ℕ/𝕍/𝔽, cosine estimate for 𝔼, both mapped to [0,1] distances.
+  /** Distance of two served signatures of evidence ordinal `e`: Jaccard
+    * estimate for ℕ/𝕍/𝔽, cosine estimate of the packed bits for 𝔼, both
+    * mapped to [0,1] distances.
     */
-  def distance(evidence: String, a: Array[Long], b: Array[Long]): Double =
-    distance(Evidence.all.indexOf(evidence), a, b)
-
   private def distance(e: Int, a: Array[Long], b: Array[Long]): Double =
-    if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
+    if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosinePacked(a, b)))
     else 1.0 - MinHash.estimateJaccard(a, b)
 
   /** Build the lake's index on Spark into its driver-resident form. */
@@ -60,7 +69,9 @@ object D3L {
   /** Single-target query for a table that may not be in the lake: features
     * are extracted on the driver (the paper's query-time representation
     * cost) with the lake's embeddings. `excludeId` drops a lake table (e.g.
-    * the lake copy of the target) before weighting and ranking.
+    * the lake copy of the target) before weighting and ranking. The lake
+    * table whose id equals `target.id`, if any, is always dropped too, with
+    * or without `excludeId`: a table is never its own answer.
     */
   def queryTable(spark: SparkSession, idx: LakeIndexes, target: LakeTable,
                  cfg: D3LConfig = D3LConfig(), excludeId: Option[String] = None): QueryResult = {
@@ -90,7 +101,7 @@ object D3L {
     val answers = onCores(targets.map(_.tableId).distinct) { id =>
       searchTable(from, byTable(id).toIndexedSeq, lake, excluded, ew, cfg.tau)
     }
-    val ranking = local(spark, rankingSchema, answers.flatMap(_.ranking))
+    lazy val ranking = local(spark, rankingSchema, answers.flatMap(_.ranking))
     QueryResult(ranking, local(spark, alignmentSchema, answers.flatMap(_.alignments)),
       ranking.select("t_table", "s_table"))
   }

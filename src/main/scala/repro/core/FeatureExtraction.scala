@@ -23,7 +23,7 @@ import repro.lsh.{Banding, MinHash, RandomProjection}
   * aggregation is embedding training ([[trainEmbeddings]]), one shuffle of
   * per-partition token sums by token; the trained model is collected to the
   * driver once and kept there as [[LakeIndexes.embeddings]]. The serving
-  * index bands the features on the driver ([[bucketsOf]]), and the
+  * index bands the features on the driver ([[levelsOf]]), and the
   * [[LakeIndexes]] frames are local views of them. A query target is
   * extracted on the driver by calling the kernel directly.
   */
@@ -40,17 +40,27 @@ object FeatureExtraction {
     */
   private def nonEmpty(v: String): Boolean = v != null && v.exists(_ != ' ')
 
+  /** Banding levels of an evidence type's index. */
+  def levelsOf(evidence: String): Seq[Banding.Level] =
+    if (evidence == Evidence.E) Banding.simhashLevels else Banding.minhashLevels
+
   /** LSH buckets of one signature under its evidence type's levels. */
-  def bucketsOf(evidence: String, sig: Array[Long]): Seq[(Int, Long)] =
-    Banding.buckets(sig, if (evidence == Evidence.E) Banding.simhashLevels else Banding.minhashLevels)
+  def bucketsOf(evidence: String, sig: Array[Long]): Seq[(Int, Long)] = Banding.buckets(sig, levelsOf(evidence))
 
-  /** Fraction of the non-empty `values` that parse as numbers. */
-  private def numericFrac(values: Seq[String]): Double =
-    if (values.isEmpty) 0.0 else values.count(Tokenizer.isNumericValue).toDouble / values.size
-
-  /** Numeric-attribute rule over the non-empty `values`, whose [[numericFrac]] is `frac`. */
-  private def isNumeric(values: Seq[String], frac: Double, cfg: D3LConfig): Boolean =
-    values.nonEmpty && frac >= cfg.numericFrac
+  /** The non-empty values of a column: each distinct one once, in
+    * first-seen order, with its number of occurrences, and the
+    * numeric-attribute rule over them.
+    */
+  private final class Extent(values: Seq[String], cfg: D3LConfig) {
+    val counts: mutable.LinkedHashMap[String, Int] = mutable.LinkedHashMap.empty
+    values.foreach(v => if (nonEmpty(v)) counts(v) = counts.getOrElse(v, 0) + 1)
+    /** Number of non-empty values. */
+    val n: Int = counts.valuesIterator.sum
+    /** Fraction of the non-empty values that parse as numbers. */
+    val numericFrac: Double =
+      if (n == 0) 0.0 else counts.iterator.collect { case (v, k) if Tokenizer.isNumericValue(v) => k }.sum.toDouble / n
+    val numeric: Boolean = n > 0 && numericFrac >= cfg.numericFrac
+  }
 
   /** Algorithm 1 on one lake table, embedding with the lake's model. */
   def extractTable(t: LakeTable, cfg: D3LConfig, embedding: String => Option[Array[Float]]): TableFeatures =
@@ -68,27 +78,26 @@ object FeatureExtraction {
     val samples = Seq.newBuilder[AttrSample]
     val profiles = cols.map { c =>
       val attr = attrId(tableId, c.colIdx)
-      val vals = c.values.filter(nonEmpty)
-      val n = vals.size
-      val frac = numericFrac(vals)
-      val numeric = isNumeric(vals, frac, cfg)
+      val x = new Extent(c.values, cfg)
+      val n = x.n
       def sig(ev: String, s: Array[Long]): Unit = sigs += AttrSignature(attr, c.colIdx, ev, s)
 
       sig(Evidence.N, MinHash.signature(Tokenizer.qgrams(c.name)))
-      if (n > 0) sig(Evidence.F, MinHash.signature(vals.map(FormatRegex.formatString).distinct))
+      if (n > 0) sig(Evidence.F, MinHash.signature(x.counts.keysIterator.map(FormatRegex.formatString).toSet))
 
       // 𝕍 / 𝔼 (textual attributes only): per value part, the rarest word
       // joins the tset T(a) (Alg. 1 l.10), the most frequent is embedded (l.13).
-      val parts = if (numeric) Seq.empty else vals.flatMap(Tokenizer.partWords)
+      // Word frequencies count every occurrence of a value.
+      val parts = if (x.numeric) Seq.empty else x.counts.toSeq.flatMap { case (v, k) => Tokenizer.partWords(v).map(_ -> k) }
       val freq = mutable.HashMap.empty[String, Int].withDefaultValue(0)
-      parts.foreach(_.foreach(w => freq(w) += 1))
-      val tset = parts.map(_.minBy(w => (freq(w), w))).distinct
+      parts.foreach { case (ws, k) => ws.foreach(w => freq(w) += k) }
+      val tset = parts.map(_._1.minBy(w => (freq(w), w))).distinct
       if (tset.nonEmpty) sig(Evidence.V, MinHash.signature(tset))
-      val vecs = parts.map(_.minBy(w => (-freq(w), w))).distinct.flatMap(embedding)
+      val vecs = parts.map(_._1.minBy(w => (-freq(w), w))).distinct.flatMap(embedding)
       if (vecs.nonEmpty) sig(Evidence.E, RandomProjection.signature(Embeddings.mean(vecs)))
 
-      if (numeric) {
-        val all = vals.flatMap(Tokenizer.parseNumeric).toArray
+      if (x.numeric) {
+        val all = x.counts.iterator.flatMap { case (v, k) => Tokenizer.parseNumeric(v).iterator.flatMap(Iterator.fill(k)(_)) }.toArray
         java.util.Arrays.sort(all)
         val max = cfg.maxNumericSample
         samples += AttrSample(attr, c.colIdx,
@@ -97,10 +106,11 @@ object FeatureExtraction {
 
       AttrProfile(
         attr = attr, tableId = tableId, colIdx = c.colIdx, colName = c.name,
-        nValues = n, nDistinct = vals.distinct.size,
+        nValues = n, nDistinct = x.counts.size,
         nullFrac = (c.values.size - n).toDouble / c.values.size,
-        avgLen = if (n == 0) None else Some(vals.map(v => v.codePointCount(0, v.length).toLong).sum.toDouble / n),
-        numericFrac = frac, isNumeric = numeric, tsetSize = tset.size)
+        avgLen = if (n == 0) None
+          else Some(x.counts.iterator.map { case (v, k) => k * v.codePointCount(0, v.length).toLong }.sum.toDouble / n),
+        numericFrac = x.numericFrac, isNumeric = x.numeric, tsetSize = tset.size)
     }
     TableFeatures(tableId, profiles, sigs.result(), samples.result(), SubjectAttribute.predict(profiles))
   }
@@ -109,10 +119,8 @@ object FeatureExtraction {
     * value of its textual attributes, in order, one list per value.
     */
   private def trainingTokens(columns: Seq[ColumnValues], cfg: D3LConfig): Seq[Seq[String]] =
-    columns.filterNot { c =>
-      val vals = c.values.filter(nonEmpty)
-      isNumeric(vals, numericFrac(vals), cfg)
-    }.flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
+    columns.filterNot(c => new Extent(c.values, cfg).numeric)
+      .flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
 
   /** Build the index of a lake in two Spark jobs. The long lake is
     * regrouped by `table_id` once, into `defaultParallelism` partitions, and

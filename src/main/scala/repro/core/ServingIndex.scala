@@ -2,9 +2,7 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
-
-/** One LSH bucket: a (band, bucket) of one evidence type's index. */
-final case class BucketKey(evidence: Int, band: Int, bucket: Long)
+import repro.lsh.{Banding, RandomProjection}
 
 /** One attribute as the serving index holds it. Evidence ordinals index
   * [[Evidence.all]] (ℕ, 𝕍, 𝔽, 𝔼 are 0–3).
@@ -19,7 +17,9 @@ final case class ServedAttr(
     tsetSize: Long,
     /** Predicted subject attribute of its table. */
     subject: Boolean,
-    /** Signature per indexed evidence ordinal; empty when it has none. */
+    /** Signature per indexed evidence ordinal; empty when it has none. The
+      * 𝔼 signature is held [[RandomProjection.pack]]ed into 4 `Long`s.
+      */
     sigs: Array[Array[Long]],
     /** Bucket ids (of the index holding the attribute) per indexed evidence
       * ordinal, in banding order.
@@ -38,16 +38,20 @@ final case class ServedAttr(
   * is embedded with [[LakeIndexes.embeddings]].
   *
   * Attributes, tables and buckets carry dense `Int` ids, so the query path
-  * dedupes and accumulates into arrays instead of hashing strings. Per
-  * attribute it holds ≈228 bucket ids (60 each for ℕ/𝕍/𝔽, 48 for 𝔼), up to
-  * four 256-long signatures and at most `maxNumericSample` doubles.
+  * dedupes and accumulates into arrays instead of hashing strings. A bucket
+  * is found by its slot, a dense id of its (evidence, band), and its `Long`
+  * hash. Per attribute it holds ≈228 bucket ids (60 each for ℕ/𝕍/𝔽, 48 for
+  * 𝔼), up to three 256-long MinHash signatures, a 4-long 𝔼 signature and at
+  * most `maxNumericSample` doubles.
   */
 final class ServingIndex private (
     val attrs: IndexedSeq[ServedAttr],
     val tableIds: IndexedSeq[String],
-    /** Bucket key → id, and back. */
-    bucketIds: collection.Map[BucketKey, Int],
-    private val keys: Array[BucketKey],
+    /** Per slot: bucket hash → bucket id. */
+    bucketIds: Array[mutable.LongMap[Int]],
+    /** Bucket id → its slot and its hash. */
+    private val slots: Array[Int],
+    private val hashes: Array[Long],
     /** Bucket id → ids of the attributes in it, ascending. */
     postings: Array[Array[Int]],
 ) {
@@ -69,7 +73,14 @@ final class ServingIndex private (
     */
   def bucketsOf(from: ServingIndex, a: ServedAttr, e: Int): Array[Int] =
     if (from eq this) a.buckets(e)
-    else a.buckets(e).flatMap(b => bucketIds.get(from.keys(b)))
+    else {
+      val out = new mutable.ArrayBuilder.ofInt
+      a.buckets(e).foreach { b =>
+        val id = bucketIds(from.slots(b)).getOrElse(from.hashes(b), -1)
+        if (id >= 0) out.addOne(id) // addOne: `+=` would box the id
+      }
+      out.result()
+    }
 
   /** Dense id of table `tableId`, or -1 when the index does not hold it. */
   def tableOf(tableId: String): Int = tableIndex.getOrElse(tableId, -1)
@@ -90,12 +101,24 @@ final class ServingIndex private (
 
 object ServingIndex {
 
+  private val EvE = Evidence.indexed.indexOf(Evidence.E)
+
+  /** Banding levels per indexed evidence ordinal. */
+  private val levels: IndexedSeq[Seq[Banding.Level]] = Evidence.indexed.map(FeatureExtraction.levelsOf).toIndexedSeq
+
+  /** First slot of each indexed evidence ordinal: its bands take the slots
+    * from there on, in banding order.
+    */
+  private val slotBase: Array[Int] = levels.scanLeft(0)(_ + _.map(_.bands).sum).toArray
+
   /** Serving form of extracted tables, lake or query target alike: every
-    * signature is banded here by [[FeatureExtraction.bucketsOf]].
+    * signature is banded here, under its evidence type's levels.
     */
   def of(tables: Seq[TableFeatures]): ServingIndex = {
     val nIndexed = Evidence.indexed.size
-    val bucketIds = mutable.HashMap.empty[BucketKey, Int]
+    val bucketIds = Array.fill(slotBase(nIndexed))(mutable.LongMap.empty[Int])
+    val slots = new mutable.ArrayBuilder.ofInt
+    val hashes = new mutable.ArrayBuilder.ofLong
     val postings = mutable.ArrayBuffer.empty[mutable.ArrayBuilder.ofInt]
     val attrs = mutable.ArrayBuffer.empty[ServedAttr]
     tables.zipWithIndex.foreach { case (t, ti) =>
@@ -106,21 +129,21 @@ object ServingIndex {
         val bySig = Array.fill(nIndexed)(Array.emptyLongArray)
         sigs.getOrElse(p.attr, Nil).foreach(s => bySig(Evidence.all.indexOf(s.evidence)) = s.sig)
         val buckets = Array.tabulate(nIndexed) { e =>
-          if (bySig(e).isEmpty) Array.emptyIntArray
-          else FeatureExtraction.bucketsOf(Evidence.all(e), bySig(e)).map { case (band, bucket) =>
-            val b = bucketIds.getOrElseUpdate(BucketKey(e, band, bucket),
-              { postings += new mutable.ArrayBuilder.ofInt; postings.size - 1 })
-            postings(b) += id
+          val hs = Banding.hashes(bySig(e), levels(e))
+          Array.tabulate(hs.length) { i =>
+            val slot = slotBase(e) + i
+            val b = bucketIds(slot).getOrElseUpdate(hs(i),
+              { slots.addOne(slot); hashes.addOne(hs(i)); postings += new mutable.ArrayBuilder.ofInt; postings.size - 1 })
+            postings(b).addOne(id)
             b
-          }.toArray
+          }
         }
+        if (bySig(EvE).nonEmpty) bySig(EvE) = RandomProjection.pack(bySig(EvE))
         attrs += ServedAttr(id, p.tableId, ti, p.colIdx, p.tsetSize, t.subject.contains(p.colIdx),
           bySig, buckets, samples.get(p.attr))
       }
     }
-    val keys = new Array[BucketKey](bucketIds.size)
-    bucketIds.foreach { case (k, b) => keys(b) = k }
-    new ServingIndex(ArraySeq.from(attrs), tables.map(_.tableId).toIndexedSeq, bucketIds, keys,
-      postings.iterator.map(_.result()).toArray)
+    new ServingIndex(ArraySeq.from(attrs), tables.map(_.tableId).toIndexedSeq, bucketIds, slots.result(),
+      hashes.result(), postings.iterator.map(_.result()).toArray)
   }
 }

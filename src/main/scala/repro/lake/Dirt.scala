@@ -1,5 +1,6 @@
 package repro.lake
 
+import java.util.Locale
 import scala.util.Random
 
 /** Format-variant renderers and noise injection — the "dirtiness" of the
@@ -17,8 +18,8 @@ object Dirt {
   type Renderer = String => String
 
   val identity: Renderer = s => s
-  val upper: Renderer = s => if (s == null) null else s.toUpperCase
-  val lower: Renderer = s => if (s == null) null else s.toLowerCase
+  val upper: Renderer = s => if (s == null) null else s.toUpperCase(Locale.ROOT)
+  val lower: Renderer = s => if (s == null) null else s.toLowerCase(Locale.ROOT)
 
   /** "Blackfriars Medical Practice" → "Blackfriars Medical" (drop last word). */
   val dropLastWord: Renderer = { s =>

@@ -1,5 +1,6 @@
 package repro.lake
 
+import java.util.Locale
 import scala.util.Random
 
 /** Deterministic vocabularies and canonical-value generators for the lake
@@ -141,10 +142,10 @@ object Vocab {
   def phone(rnd: Random): String = f"0161 ${rnd.nextInt(1000)}%03d ${rnd.nextInt(10000)}%04d"
 
   def email(rnd: Random): String =
-    s"${pick(rnd, firstNames).toLowerCase}.${pick(rnd, lastNames).toLowerCase}@${pick(rnd, Vector("nhs.uk", "gov.uk", "council.uk", "mail.com"))}"
+    s"${pick(rnd, firstNames).toLowerCase(Locale.ROOT)}.${pick(rnd, lastNames).toLowerCase(Locale.ROOT)}@${pick(rnd, Vector("nhs.uk", "gov.uk", "council.uk", "mail.com"))}"
 
   def url(rnd: Random): String =
-    s"https://www.${pick(rnd, companyCores).toLowerCase}${pick(rnd, Vector(".co.uk", ".org.uk", ".com"))}/home"
+    s"https://www.${pick(rnd, companyCores).toLowerCase(Locale.ROOT)}${pick(rnd, Vector(".co.uk", ".org.uk", ".com"))}/home"
 
   def openingHours(rnd: Random): String =
     f"${6 + rnd.nextInt(4)}%02d:${if (rnd.nextBoolean()) "00" else "30"}-${16 + rnd.nextInt(6)}%02d:${if (rnd.nextBoolean()) "00" else "30"}"

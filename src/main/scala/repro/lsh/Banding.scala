@@ -36,14 +36,26 @@ object Banding {
     */
   val simhashLevels: Seq[Level] = Seq(Level(8, 32), Level(4, 16))
 
-  /** Bucket keys of a signature under the given levels. Sentinel signatures
-    * (empty sets / zero vectors) produce no buckets, keeping empty
-    * attributes out of every index.
+  /** Bucket keys of a signature under the given levels: (band id, bucket
+    * hash), in banding order. Sentinel signatures (empty sets / zero
+    * vectors) produce no buckets, keeping empty attributes out of every
+    * index.
     */
   def buckets(sig: Array[Long], levels: Seq[Level]): Seq[(Int, Long)] = {
-    if (sig.isEmpty || sig(0) == MinHash.EmptySentinel || sig(0) < 0) return Seq.empty
-    levels.zipWithIndex.flatMap { case (Level(r, b), li) =>
-      (0 until b).map { band =>
+    val bandIds = levels.zipWithIndex.flatMap { case (Level(_, b), li) => (0 until b).map(li * 1000 + _) }
+    bandIds.zip(hashes(sig, levels))
+  }
+
+  /** The bucket hashes of [[buckets]] alone: position p is the bucket of
+    * the p-th band in banding order.
+    */
+  def hashes(sig: Array[Long], levels: Seq[Level]): Array[Long] = {
+    if (sig.isEmpty || sig(0) == MinHash.EmptySentinel || sig(0) < 0) return Array.emptyLongArray
+    val out = new Array[Long](levels.map(_.bands).sum)
+    var o = 0
+    levels.zipWithIndex.foreach { case (Level(r, b), li) =>
+      var band = 0
+      while (band < b) {
         var h = MurmurHash3.mix(0xcafe + li, band)
         var i = band * r
         val end = i + r
@@ -54,9 +66,12 @@ object Banding {
           i += 1
         }
         val hh = MurmurHash3.finalizeHash(h, r)
-        (li * 1000 + band, (hh.toLong << 32) | (MurmurHash3.mix(hh, band + li).toLong & 0xffffffffL))
+        out(o) = (hh.toLong << 32) | (MurmurHash3.mix(hh, band + li).toLong & 0xffffffffL)
+        o += 1
+        band += 1
       }
     }
+    out
   }
 
   /** Collision probability (≥1 shared bucket at any level) at per-component

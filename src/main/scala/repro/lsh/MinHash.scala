@@ -38,18 +38,23 @@ object MinHash {
     * never collides with a real one (callers exclude empty attrs anyway).
     */
   def signature(tokens: Iterable[String]): Array[Long] = {
-    val sig = Array.fill(NumHashes)(EmptySentinel)
-    tokens.foreach { t =>
-      val x = tokenHash(t)
-      var i = 0
-      while (i < NumHashes) {
-        // (a*x + b) mod p via Math.multiplyHigh-free 128-bit-safe arithmetic:
-        // p < 2^61 and x < p so a*x can overflow; use BigInt-free mulmod.
-        val v = mulMod(as(i), x) + bs(i)
+    val xs = tokens.iterator.map(tokenHash).toArray
+    val sig = new Array[Long](NumHashes)
+    var i = 0
+    while (i < NumHashes) {
+      val a = as(i)
+      val b = bs(i)
+      var min = EmptySentinel
+      var j = 0
+      while (j < xs.length) {
+        // (a*x + b) mod p; a*x overflows 64 bits, hence the 128-bit mulMod.
+        val v = mulMod(a, xs(j)) + b
         val hv = if (v >= Prime) v - Prime else v
-        if (hv < sig(i)) sig(i) = hv
-        i += 1
+        if (hv < min) min = hv
+        j += 1
       }
+      sig(i) = min
+      i += 1
     }
     sig
   }

@@ -11,8 +11,8 @@ import repro.text.Embeddings
   * we recover cos(π(1−f)) as the cosine-similarity estimate.
   *
   * Signatures are `Array[Long]` of 0/1 so the banding machinery is shared
-  * with MinHash (wasteful in space, uniform in code — the index frames carry
-  * only band hashes, not raw signatures, so the cost is transient).
+  * with MinHash (wasteful in space, uniform in code). The serving index
+  * holds them [[pack]]ed into 4 `Long`s and compares them by popcount.
   */
 object RandomProjection {
 
@@ -47,7 +47,31 @@ object RandomProjection {
     if (a(0) < 0 || b(0) < 0) return 0.0
     var eq = 0; var i = 0
     while (i < a.length) { if (a(i) == b(i)) eq += 1; i += 1 }
-    val f = eq.toDouble / a.length
-    math.cos(math.Pi * (1.0 - f))
+    cosine(eq, a.length)
   }
+
+  /** A bit signature packed 64 bits to a `Long` (bit i is bit i % 64 of
+    * word i / 64); the sentinel packs to the empty array.
+    */
+  def pack(sig: Array[Long]): Array[Long] =
+    if (sig(0) < 0) Array.emptyLongArray
+    else {
+      val out = new Array[Long](NumBits / 64)
+      var i = 0
+      while (i < NumBits) { out(i >> 6) |= sig(i) << (i & 63); i += 1 }
+      out
+    }
+
+  /** [[estimateCosine]] of two [[pack]]ed signatures: the agreeing bits are
+    * those not set in `a ^ b`.
+    */
+  def estimateCosinePacked(a: Array[Long], b: Array[Long]): Double = {
+    if (a.isEmpty || b.isEmpty) return 0.0
+    var differ = 0; var i = 0
+    while (i < a.length) { differ += java.lang.Long.bitCount(a(i) ^ b(i)); i += 1 }
+    cosine(NumBits - differ, NumBits)
+  }
+
+  /** cos(π(1−f)) for `eq` agreeing bits of `n`. */
+  private def cosine(eq: Int, n: Int): Double = math.cos(math.Pi * (1.0 - eq.toDouble / n))
 }

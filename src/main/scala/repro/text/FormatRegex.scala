@@ -1,7 +1,5 @@
 package repro.text
 
-import java.util.regex.Pattern
-
 /** Format-describing regular-expression strings (𝔽-evidence, §III-B).
   *
   * A value is scanned into maximal runs of letters/digits vs punctuation
@@ -19,53 +17,54 @@ object FormatRegex {
 
   private val Classes = "CULNAP"
 
-  /** Classify one non-whitespace token into its primitive class symbol,
-    * trying classes in the paper's enumeration order.
+  /** Classify one non-whitespace token into its primitive class symbol:
+    * the first of the paper's classes, in enumeration order, whose ASCII
+    * pattern matches the whole token.
     */
-  def classify(token: String): Char =
-    if (token.isEmpty) 'P'
-    else if (Capitalised.matcher(token).matches()) 'C'
-    else if (Upper.matcher(token).matches()) 'U'
-    else if (Lower.matcher(token).matches()) 'L'
-    else if (Digits.matcher(token).matches()) 'N'
-    else if (Alnum.matcher(token).matches()) 'A'
-    else 'P'
-
-  private val Capitalised = Pattern.compile("[A-Z][a-z]+")
-  private val Upper = Pattern.compile("[A-Z]+")
-  private val Lower = Pattern.compile("[a-z]+")
-  private val Digits = Pattern.compile("[0-9]+")
-  private val Alnum = Pattern.compile("[A-Za-z0-9]+")
+  def classify(token: String): Char = {
+    val n = token.length
+    var upper = 0; var lower = 0; var digit = 0
+    var i = 0
+    while (i < n) {
+      val c = token.charAt(i)
+      if (c >= 'A' && c <= 'Z') upper += 1
+      else if (c >= 'a' && c <= 'z') lower += 1
+      else if (c >= '0' && c <= '9') digit += 1
+      i += 1
+    }
+    if (n == 0 || upper + lower + digit < n) 'P'
+    else if (upper == 1 && lower == n - 1 && n > 1 && token.charAt(0) <= 'Z') 'C' // a capital, then lower case
+    else if (upper == n) 'U'
+    else if (lower == n) 'L'
+    else if (digit == n) 'N'
+    else 'A'
+  }
 
   /** Lexical scan: maximal alphanumeric runs and maximal punctuation runs,
     * in order of appearance; whitespace only separates runs.
     */
   def lex(value: String): Seq[String] = {
     if (value == null) return Seq.empty
+    def kind(c: Char): Int = if (Character.isLetterOrDigit(c)) 1 else if (Character.isWhitespace(c)) 0 else 2
     val out = Seq.newBuilder[String]
-    val cur = new StringBuilder
-    var curKind = 0 // 0 none, 1 alnum, 2 punct
-    def flush(): Unit = { if (cur.nonEmpty) { out += cur.result(); cur.clear() }; curKind = 0 }
-    value.foreach { c =>
-      val kind = if (Character.isLetterOrDigit(c)) 1 else if (Character.isWhitespace(c)) 0 else 2
-      if (kind == 0) flush()
-      else {
-        if (curKind != 0 && curKind != kind) flush()
-        cur.append(c); curKind = kind
-      }
+    var i = 0
+    while (i < value.length) {
+      val k = kind(value.charAt(i))
+      val start = i
+      i += 1
+      while (i < value.length && kind(value.charAt(i)) == k) i += 1
+      if (k != 0) out += value.substring(start, i)
     }
-    flush()
     out.result()
   }
 
   /** get_regex_string(v): the collapsed class string of a whole value. */
   def formatString(value: String): String = {
-    val syms = lex(value).map(classify)
-    if (syms.isEmpty) return ""
     val sb = new StringBuilder
     var prev = ' '
     var plus = false
-    syms.foreach { s =>
+    lex(value).foreach { tok =>
+      val s = classify(tok)
       if (s == prev) {
         if (!plus) { sb.append('+'); plus = true }
       } else { sb.append(s); prev = s; plus = false }

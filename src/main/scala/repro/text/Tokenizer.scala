@@ -1,5 +1,6 @@
 package repro.text
 
+import java.util.Locale
 import java.util.regex.Pattern
 
 /** Tokenization primitives shared by every evidence type (§III-A, Example 2).
@@ -8,7 +9,8 @@ import java.util.regex.Pattern
   * part is split into *words* at whitespace. The 𝕍-evidence keeps, per part,
   * the word that is rarest in the attribute extent; the 𝔼-evidence embeds the
   * word that is most frequent (Algorithm 1, lines 9–14). Both need the same
-  * part/word decomposition, produced here.
+  * part/word decomposition, produced here. Lower-casing uses `Locale.ROOT`,
+  * so tokens do not depend on the JVM's default locale.
   */
 object Tokenizer {
 
@@ -18,26 +20,37 @@ object Tokenizer {
   @inline def isPunct(c: Char): Boolean =
     !Character.isLetterOrDigit(c) && !Character.isWhitespace(c)
 
+  /** ASCII whitespace: the characters of the regex class `\s`. */
+  @inline private def isSpace(c: Char): Boolean = c == ' ' || (c >= '\t' && c <= '\r')
+
+  /** The runs of `s` between punctuation characters (`punct`) or between
+    * ASCII whitespace, trimmed as `String.trim` trims (characters up to
+    * U+0020), when something remains; `null` has none.
+    */
+  private def runs(s: String, punct: Boolean): Seq[String] = {
+    val out = Seq.newBuilder[String]
+    var i = 0
+    while (s != null && i < s.length) {
+      var start = i
+      while (i < s.length && !(if (punct) isPunct(s.charAt(i)) else isSpace(s.charAt(i)))) i += 1
+      var end = i
+      while (start < end && s.charAt(start) <= ' ') start += 1
+      while (end > start && s.charAt(end - 1) <= ' ') end -= 1
+      if (start < end) out += s.substring(start, end)
+      i += 1
+    }
+    out.result()
+  }
+
   /** Split a raw value into parts at punctuation characters. Empty parts are
     * dropped; parts keep their internal whitespace for later word splitting.
     */
-  def parts(value: String): Seq[String] = {
-    if (value == null) return Seq.empty
-    val out = Seq.newBuilder[String]
-    val cur = new StringBuilder
-    value.foreach { c =>
-      if (isPunct(c)) {
-        if (cur.nonEmpty) { out += cur.result(); cur.clear() }
-      } else cur.append(c)
-    }
-    if (cur.nonEmpty) out += cur.result()
-    out.result().map(_.trim).filter(_.nonEmpty)
-  }
+  def parts(value: String): Seq[String] = runs(value, punct = true)
 
-  /** Words of one part: whitespace split, lower-cased, empties dropped. */
-  def words(part: String): Seq[String] =
-    if (part == null) Seq.empty
-    else part.split("\\s+").iterator.map(_.trim.toLowerCase).filter(_.nonEmpty).toSeq
+  /** Words of one part: split at ASCII whitespace, trimmed, lower-cased,
+    * empties dropped.
+    */
+  def words(part: String): Seq[String] = runs(part, punct = false).map(_.toLowerCase(Locale.ROOT))
 
   /** All tokens of a value — get_tokens(v) in Algorithm 1. */
   def tokens(value: String): Seq[String] = parts(value).flatMap(words)
@@ -54,7 +67,7 @@ object Tokenizer {
     */
   def qgrams(name: String, q: Int = 4): Set[String] = {
     if (name == null) return Set.empty
-    val norm = name.toLowerCase.filter(Character.isLetterOrDigit)
+    val norm = name.toLowerCase(Locale.ROOT).filter(Character.isLetterOrDigit)
     if (norm.isEmpty) Set.empty
     else if (norm.length <= q) Set(norm)
     else norm.sliding(q).toSet

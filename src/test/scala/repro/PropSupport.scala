@@ -15,4 +15,22 @@ trait PropSupport {
 
   def forAllGen[A](gen: Gen[A], minSuccessful: Int = 100)(body: A => Unit): Unit =
     checkProp(Prop.forAll(gen) { a => body(a); true }, minSuccessful)
+
+  /** Punctuation, including non-ASCII currency signs. */
+  val punctChars: Seq[Char] = ",.-#$£_/()'@:".toSeq
+
+  /** Cell values for the text kernels: ASCII and non-ASCII letters and
+    * digits, every ASCII whitespace character (`\u000B` included), NBSP,
+    * `\u2003`, other control and separator characters, surrogate halves and
+    * punctuation; plus punctuation-only strings, `""` and `null`.
+    */
+  val textValues: Gen[String] = {
+    val other = "éßİıЖ中٣５\t\u000B\n\r\f \u00A0\u2003\u001C\u0001\uD835\uDD3C".toSeq
+    val chars = Gen.frequency(6 -> Gen.alphaNumChar, 3 -> Gen.oneOf(other), 2 -> Gen.oneOf(punctChars))
+    Gen.frequency(
+      20 -> Gen.listOf(chars).map(_.mkString),
+      3 -> Gen.listOf(Gen.oneOf(punctChars)).map(_.mkString),
+      1 -> Gen.const(""),
+      1 -> Gen.const[String](null))
+  }
 }

@@ -20,6 +20,15 @@ class SyntheticKBSpec extends SparkSpec {
     assert(es.map(_._1).distinct.size == es.size)
   }
 
+  test("entries do not depend on the JVM's default locale") {
+    val want = SyntheticKB.entries
+    val saved = java.util.Locale.getDefault
+    try {
+      java.util.Locale.setDefault(java.util.Locale.forLanguageTag("tr"))
+      assert(SyntheticKB.entries == want)
+    } finally java.util.Locale.setDefault(saved)
+  }
+
   test("entries cover the expected classes") {
     val classes = SyntheticKB.entries.map(_._2).toSet
     assert(classes.contains("City"))

@@ -183,6 +183,49 @@ class D3LSpec extends SparkSpec {
     assert(swapped.forall(s => math.abs(scoreOf(s) - kth) <= 1e-9), s"top-$k differs on $swapped")
   }
 
+  test("queryTable never ranks the lake table that shares the target's id, even without excludeId") {
+    val t = lake.tables(3)
+    val modified = t.copy(columns = t.columns.map(c => c.copy(values = c.values.drop(1))))
+    val res = D3L.queryTable(spark, idx, modified)
+    val ranked = res.ranking.select("s_table").collect().map(_.getString(0)).toSeq
+    assert(ranked.nonEmpty)
+    assert(!ranked.contains(t.id), s"${t.id} ranks itself")
+    assert(res.alignments.filter(col("s_table") === t.id).count() == 0)
+  }
+
+  test("QueryResult builds each frame once, on its first access") {
+    val built = scala.collection.mutable.ArrayBuffer.empty[String]
+    def frame(name: String) = { built += name; spark.emptyDataFrame }
+    val res = D3L.QueryResult(frame("ranking"), frame("alignments"), frame("tablePairs"))
+    assert(built.isEmpty)
+    val ranking = res.ranking
+    assert(built == Seq("ranking"))
+    assert(res.ranking eq ranking)
+    val (alignments, tablePairs) = (res.alignments, res.tablePairs)
+    assert((res.alignments eq alignments) && (res.tablePairs eq tablePairs))
+    assert(built == Seq("ranking", "alignments", "tablePairs"))
+  }
+
+  test("reading ranking alone, then alignments and tablePairs, gives the rows of an eager read") {
+    val (t, other) = (lake.tables(2), lake.tables(7))
+    Seq[() => D3L.QueryResult](
+      () => D3L.queryAll(spark, idx, targets),
+      () => D3L.queryTable(spark, idx, t, excludeId = Some(t.id)),
+    ).foreach { query =>
+      val eager = query()
+      val want = (eager.tablePairs.collect().toSeq, eager.alignments.collect().toSeq, eager.ranking.collect().toSeq)
+      val res = query()
+      val ranking = res.ranking
+      val rankRows = ranking.collect().toSeq
+      // Another query in between must not change what the deferred frames read.
+      val between = D3L.queryTable(spark, idx, other, excludeId = Some(other.id))
+      (between.ranking.collect(), between.alignments.collect(), between.tablePairs.collect())
+      assert((res.tablePairs.collect().toSeq, res.alignments.collect().toSeq, rankRows) == want)
+      assert(res.ranking eq ranking)
+      assert((res.alignments eq res.alignments) && (res.tablePairs eq res.tablePairs))
+    }
+  }
+
   test("queryAll rejects target ids the index does not hold") {
     val e = intercept[IllegalArgumentException](D3L.queryAll(spark, idx, Seq(targets.head, "no-such-table")))
     assert(e.getMessage.contains("no-such-table"))

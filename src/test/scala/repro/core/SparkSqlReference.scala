@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
 import repro.core.D3L.QueryResult
+import repro.lsh.{MinHash, RandomProjection}
 import repro.stats.KolmogorovSmirnov
 
 /** Reference implementation of the D³L query pipeline as Spark SQL over the
@@ -14,7 +15,16 @@ import repro.stats.KolmogorovSmirnov
   */
 object SparkSqlReference {
 
-  private val distUdf = udf((ev: String, a: Seq[Long], b: Seq[Long]) => D3L.distance(ev, a.toArray, b.toArray))
+  /** Distance from two signatures of the `signatures` frame given the
+    * evidence type: Jaccard estimate for ℕ/𝕍/𝔽, cosine estimate of the 0/1
+    * bits for 𝔼, both mapped to [0,1] distances. The served pipeline
+    * compares packed 𝔼 bits instead, so this checks it independently.
+    */
+  def distance(evidence: String, a: Array[Long], b: Array[Long]): Double =
+    if (evidence == Evidence.E) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
+    else 1.0 - MinHash.estimateJaccard(a, b)
+
+  private val distUdf = udf((ev: String, a: Seq[Long], b: Seq[Long]) => distance(ev, a.toArray, b.toArray))
 
   private val ksUdf = udf((a: Seq[Double], b: Seq[Double]) =>
     KolmogorovSmirnov.statisticSorted(a.toArray, b.toArray))

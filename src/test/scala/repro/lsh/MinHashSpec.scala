@@ -5,8 +5,43 @@ import repro.{PropSupport, SparkSpec}
 
 class MinHashSpec extends SparkSpec with PropSupport {
 
+  /** The token-outer loop `signature` replaced, with the same hash family,
+    * kept as its specification.
+    */
+  private object Reference {
+    private val Prime = (1L << 61) - 1
+    private val (as, bs) = {
+      val rnd = new scala.util.Random(0xD31L)
+      val a = Array.fill(MinHash.NumHashes)(math.abs(rnd.nextLong()) % (Prime - 1) + 1)
+      val b = Array.fill(MinHash.NumHashes)(math.abs(rnd.nextLong()) % Prime)
+      (a, b)
+    }
+
+    private def mulMod(a: Long, b: Long): Long =
+      BigInt(a).*(BigInt(b)).mod(BigInt(Prime)).toLong
+
+    def signature(tokens: Iterable[String]): Array[Long] = {
+      val sig = Array.fill(MinHash.NumHashes)(MinHash.EmptySentinel)
+      tokens.foreach { t =>
+        val x = MinHash.tokenHash(t)
+        (0 until MinHash.NumHashes).foreach { i =>
+          val hv = (mulMod(as(i), x) + bs(i)) % Prime
+          if (hv < sig(i)) sig(i) = hv
+        }
+      }
+      sig
+    }
+  }
+
   private def exactJaccard(a: Set[String], b: Set[String]): Double =
     if (a.isEmpty && b.isEmpty) 0.0 else (a intersect b).size.toDouble / (a union b).size
+
+  test("property: signature equals the token-outer reference") {
+    forAllGen(Gen.resize(20, Gen.listOf(textValues.map(v => if (v == null) "" else v))), 50) { ts =>
+      assert(MinHash.signature(ts).toSeq == Reference.signature(ts).toSeq, ts)
+      assert(MinHash.signature(ts.toSet).toSeq == Reference.signature(ts).toSeq, ts)
+    }
+  }
 
   test("signature has 256 components") {
     assert(MinHash.signature(Seq("a", "b")).length == 256)

@@ -1,9 +1,10 @@
 package repro.lsh
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.text.Embeddings
 
-class RandomProjectionSpec extends SparkSpec {
+class RandomProjectionSpec extends SparkSpec with PropSupport {
 
   private def vec(seed: Int): Array[Float] = {
     val rnd = new scala.util.Random(seed)
@@ -68,5 +69,31 @@ class RandomProjectionSpec extends SparkSpec {
     val v = vec(12)
     val scaled = v.map(_ * 7.5f)
     assert(RandomProjection.signature(v).sameElements(RandomProjection.signature(scaled)))
+  }
+
+  test("property: the packed estimate and distance equal those of the 0/1 bits") {
+    // b flips each bit of a with probability p, so agreements span 0..256.
+    val pairs = for {
+      a <- Gen.listOfN(RandomProjection.NumBits, Gen.oneOf(0L, 1L))
+      p <- Gen.oneOf(Gen.const(0.0), Gen.const(1.0), Gen.choose(0.0, 1.0))
+      flips <- Gen.listOfN(RandomProjection.NumBits, Gen.prob(p))
+    } yield (a.toArray, a.zip(flips).map { case (bit, f) => if (f) 1L - bit else bit }.toArray)
+    def distance(c: Double) = math.min(1.0, math.max(0.0, 1.0 - c))
+    forAllGen(pairs, 500) { case (a, b) =>
+      val want = RandomProjection.estimateCosine(a, b)
+      val got = RandomProjection.estimateCosinePacked(RandomProjection.pack(a), RandomProjection.pack(b))
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want), s"$got vs $want")
+      assert(distance(got) == distance(want))
+    }
+  }
+
+  test("pack holds 256 bits in 4 longs; the sentinel packs to nothing and estimates 0") {
+    val s = RandomProjection.signature(vec(13))
+    val packed = RandomProjection.pack(s)
+    assert(packed.length == 4)
+    assert((0 until 256).forall(i => ((packed(i / 64) >>> (i % 64)) & 1L) == s(i)))
+    val z = RandomProjection.pack(RandomProjection.signature(new Array[Float](Embeddings.Dim)))
+    assert(z.isEmpty)
+    assert(RandomProjection.estimateCosinePacked(z, packed) == 0.0)
   }
 }

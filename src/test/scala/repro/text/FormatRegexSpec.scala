@@ -1,9 +1,65 @@
 package repro.text
 
+import java.util.regex.Pattern
 import org.scalacheck.Gen
 import repro.{PropSupport, SparkSpec}
 
 class FormatRegexSpec extends SparkSpec with PropSupport {
+
+  /** The regex and StringBuilder implementations the counting and index
+    * scans replaced, kept as their specification.
+    */
+  private object Reference {
+    private val Capitalised = Pattern.compile("[A-Z][a-z]+")
+    private val Upper = Pattern.compile("[A-Z]+")
+    private val Lower = Pattern.compile("[a-z]+")
+    private val Digits = Pattern.compile("[0-9]+")
+    private val Alnum = Pattern.compile("[A-Za-z0-9]+")
+
+    def classify(token: String): Char =
+      if (token.isEmpty) 'P'
+      else if (Capitalised.matcher(token).matches()) 'C'
+      else if (Upper.matcher(token).matches()) 'U'
+      else if (Lower.matcher(token).matches()) 'L'
+      else if (Digits.matcher(token).matches()) 'N'
+      else if (Alnum.matcher(token).matches()) 'A'
+      else 'P'
+
+    def lex(value: String): Seq[String] = {
+      if (value == null) return Seq.empty
+      val out = Seq.newBuilder[String]
+      val cur = new StringBuilder
+      var curKind = 0 // 0 none, 1 alnum, 2 punct
+      def flush(): Unit = { if (cur.nonEmpty) { out += cur.result(); cur.clear() }; curKind = 0 }
+      value.foreach { c =>
+        val kind = if (Character.isLetterOrDigit(c)) 1 else if (Character.isWhitespace(c)) 0 else 2
+        if (kind == 0) flush()
+        else {
+          if (curKind != 0 && curKind != kind) flush()
+          cur.append(c); curKind = kind
+        }
+      }
+      flush()
+      out.result()
+    }
+
+    def formatString(value: String): String = {
+      val syms = lex(value).map(classify)
+      if (syms.isEmpty) return ""
+      val sb = new StringBuilder
+      var prev = ' '
+      var plus = false
+      syms.foreach { s =>
+        if (s == prev) {
+          if (!plus) { sb.append('+'); plus = true }
+        } else { sb.append(s); prev = s; plus = false }
+      }
+      sb.result()
+    }
+  }
+
+  /** Short tokens over the characters that separate the classes. */
+  private val tokens: Gen[String] = Gen.resize(5, Gen.listOf(Gen.oneOf("AZaz09é٣_".toSeq)).map(_.mkString))
 
   // ---- classify ------------------------------------------------------------
 
@@ -90,6 +146,19 @@ class FormatRegexSpec extends SparkSpec with PropSupport {
   }
 
   // ---- properties ----------------------------------------------------------
+
+  test("property: classify equals the regex reference") {
+    forAllGen(Gen.oneOf(tokens, textValues.map(v => if (v == null) "" else v)), 2000) { t =>
+      assert(FormatRegex.classify(t) == Reference.classify(t), t)
+    }
+  }
+
+  test("property: lex and formatString equal the reference") {
+    forAllGen(textValues, 1000) { s =>
+      assert(FormatRegex.lex(s) == Reference.lex(s), String.valueOf(s))
+      assert(FormatRegex.formatString(s) == Reference.formatString(s), String.valueOf(s))
+    }
+  }
 
   test("property: format strings only contain class symbols and plus") {
     val allowed = (FormatRegex.classSymbols :+ '+').toSet

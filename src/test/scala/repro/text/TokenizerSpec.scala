@@ -1,9 +1,34 @@
 package repro.text
 
+import java.util.Locale
 import org.scalacheck.Gen
 import repro.{PropSupport, SparkSpec}
 
 class TokenizerSpec extends SparkSpec with PropSupport {
+
+  /** The StringBuilder and `split("\\s+")` implementations the char loops
+    * replaced, kept as their specification (lower-casing with `Locale.ROOT`).
+    */
+  private object Reference {
+    def parts(value: String): Seq[String] = {
+      if (value == null) return Seq.empty
+      val out = Seq.newBuilder[String]
+      val cur = new StringBuilder
+      value.foreach { c =>
+        if (Tokenizer.isPunct(c)) {
+          if (cur.nonEmpty) { out += cur.result(); cur.clear() }
+        } else cur.append(c)
+      }
+      if (cur.nonEmpty) out += cur.result()
+      out.result().map(_.trim).filter(_.nonEmpty)
+    }
+
+    def words(part: String): Seq[String] =
+      if (part == null) Seq.empty
+      else part.split("\\s+").iterator.map(_.trim.toLowerCase(Locale.ROOT)).filter(_.nonEmpty).toSeq
+
+    def partWords(value: String): Seq[Seq[String]] = parts(value).map(words).filter(_.nonEmpty)
+  }
 
   // ---- parts ---------------------------------------------------------------
 
@@ -135,6 +160,24 @@ class TokenizerSpec extends SparkSpec with PropSupport {
         assert(t.nonEmpty && t == t.toLowerCase)
       }
     }
+  }
+
+  test("property: parts, words, partWords and tokens equal the split-based reference") {
+    forAllGen(textValues, 1000) { s =>
+      assert(Tokenizer.parts(s) == Reference.parts(s), String.valueOf(s))
+      assert(Tokenizer.words(s) == Reference.words(s), String.valueOf(s))
+      assert(Tokenizer.partWords(s) == Reference.partWords(s), String.valueOf(s))
+      assert(Tokenizer.tokens(s) == Reference.parts(s).flatMap(Reference.words), String.valueOf(s))
+    }
+  }
+
+  test("lower-casing does not depend on the JVM's default locale") {
+    val saved = Locale.getDefault
+    try {
+      Locale.setDefault(Locale.forLanguageTag("tr"))
+      assert(Tokenizer.words("TITLE Case") == Seq("title", "case"))
+      assert(Tokenizer.qgrams("TITLE") == Set("titl", "itle"))
+    } finally Locale.setDefault(saved)
   }
 
   test("property: parts contain no punctuation characters") {
