@@ -1,7 +1,7 @@
 package repro.bench
 
-import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.core.D3L
 import repro.eval.Harness
 import repro.lake.Generators
 
@@ -34,11 +34,13 @@ object BenchFixtures {
   lazy val trained = Harness.trainWeights(spark, synthetic)
   lazy val weights: Map[String, Double] = trained.weights
 
-  lazy val synD3l: (Harness.SystemRun, DataFrame) = Harness.runD3L(spark, synthetic, Some(weights))
+  lazy val synD3l: Harness.SystemRun = Harness.runD3L(spark, synthetic, Some(weights))
   lazy val synTus: Harness.SystemRun = Harness.runTus(spark, synthetic)
   lazy val synAurum: Harness.SystemRun = Harness.runAurum(spark, synthetic)
 
-  lazy val srD3l: (Harness.SystemRun, DataFrame) = Harness.runD3L(spark, smallerReal, Some(weights))
+  lazy val srD3l: Harness.SystemRun = Harness.runD3L(spark, smallerReal, Some(weights))
+  /** D³L's typed ranking behind [[srD3l]] (Experiment 1 re-ranks it). */
+  lazy val srD3lRanked: Seq[D3L.Ranked] = Harness.queryD3L(spark, smallerReal, Some(weights)).ranked
   lazy val srTus: Harness.SystemRun = Harness.runTus(spark, smallerReal)
   lazy val srAurum: Harness.SystemRun = Harness.runAurum(spark, smallerReal)
 

@@ -12,7 +12,7 @@ class Exp10CoverageBench extends SparkSpec {
   import BenchFixtures._
 
   test("Experiment 10: coverage vs k on Smaller Real") {
-    val rows = Experiments.coverage(smallerReal, ks, srD3l._1, srTus, srAurum)
+    val rows = Experiments.coverage(smallerReal, ks, srD3l, srTus, srAurum)
     banner("Experiment 10 — mean target coverage (Smaller Real)")
     println(Experiments.fmtCov(rows, "coverage"))
 

@@ -11,7 +11,7 @@ class Exp11AttrPrecisionBench extends SparkSpec {
   import BenchFixtures._
 
   test("Experiment 11: attribute precision vs k on Smaller Real") {
-    val rows = Experiments.attrPrecision(smallerReal, ks, srD3l._1, srTus, srAurum)
+    val rows = Experiments.attrPrecision(smallerReal, ks, srD3l, srTus, srAurum)
     banner("Experiment 11 — mean attribute precision (Smaller Real)")
     println(Experiments.fmtCov(rows, "attr_prec"))
 

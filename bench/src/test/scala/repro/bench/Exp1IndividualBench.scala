@@ -13,8 +13,7 @@ class Exp1IndividualBench extends SparkSpec {
   import BenchFixtures._
 
   test("Experiment 1: individual vs aggregated evidence on Smaller Real") {
-    val (run, ranking) = srD3l
-    val rows = Experiments.individualEvidence(spark, smallerReal, ranking, run, ks)
+    val rows = Experiments.individualEvidence(smallerReal, srD3lRanked, ks)
     banner("Experiment 1 — individual evidence P/R (Smaller Real)")
     println(Experiments.fmtPr(rows))
 

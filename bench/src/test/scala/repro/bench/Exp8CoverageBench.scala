@@ -11,7 +11,7 @@ class Exp8CoverageBench extends SparkSpec {
   import BenchFixtures._
 
   test("Experiment 8: coverage vs k on Synthetic") {
-    val rows = Experiments.coverage(synthetic, ks, synD3l._1, synTus, synAurum)
+    val rows = Experiments.coverage(synthetic, ks, synD3l, synTus, synAurum)
     banner("Experiment 8 — mean target coverage (Synthetic)")
     println(Experiments.fmtCov(rows, "coverage"))
 

@@ -12,7 +12,7 @@ class Exp9AttrPrecisionBench extends SparkSpec {
   import BenchFixtures._
 
   test("Experiment 9: attribute precision vs k on Synthetic") {
-    val rows = Experiments.attrPrecision(synthetic, ks, synD3l._1, synTus, synAurum)
+    val rows = Experiments.attrPrecision(synthetic, ks, synD3l, synTus, synAurum)
     banner("Experiment 9 — mean attribute precision (Synthetic)")
     println(Experiments.fmtCov(rows, "attr_prec"))
 

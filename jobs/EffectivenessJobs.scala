@@ -7,9 +7,8 @@ object Exp1Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("exp1-individual-evidence")
     val (syn, sr, w) = JobSupport.fixtures(spark)
-    val (run, ranking) = Harness.runD3L(spark, sr, Some(w))
     println(Experiments.fmtPr(
-      Experiments.individualEvidence(spark, sr, ranking, run, JobSupport.ks)))
+      Experiments.individualEvidence(sr, Harness.queryD3L(spark, sr, Some(w)).ranked, JobSupport.ks)))
     spark.stop()
   }
 }
@@ -20,7 +19,7 @@ object Exp2Job {
     val spark = JobSupport.session("exp2-synthetic-pr")
     val (syn, _, w) = JobSupport.fixtures(spark)
     val rows = Experiments.comparativePr(spark, syn, JobSupport.ks,
-      Harness.runD3L(spark, syn, Some(w))._1, Harness.runTus(spark, syn), Harness.runAurum(spark, syn))
+      Harness.runD3L(spark, syn, Some(w)), Harness.runTus(spark, syn), Harness.runAurum(spark, syn))
     println(Experiments.fmtPr(rows))
     spark.stop()
   }
@@ -32,7 +31,7 @@ object Exp3Job {
     val spark = JobSupport.session("exp3-smaller-real-pr")
     val (_, sr, w) = JobSupport.fixtures(spark)
     val rows = Experiments.comparativePr(spark, sr, JobSupport.ks,
-      Harness.runD3L(spark, sr, Some(w))._1, Harness.runTus(spark, sr), Harness.runAurum(spark, sr))
+      Harness.runD3L(spark, sr, Some(w)), Harness.runTus(spark, sr), Harness.runAurum(spark, sr))
     println(Experiments.fmtPr(rows))
     spark.stop()
   }

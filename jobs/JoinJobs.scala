@@ -7,7 +7,7 @@ object Exp8Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("exp8-coverage-synthetic")
     val (syn, _, w) = JobSupport.fixtures(spark)
-    val d3l = Harness.runD3L(spark, syn, Some(w))._1
+    val d3l = Harness.runD3L(spark, syn, Some(w))
     val rows = Experiments.coverage(syn, JobSupport.ks, d3l,
       Harness.runTus(spark, syn), Harness.runAurum(spark, syn))
     println(Experiments.fmtCov(rows, "coverage"))
@@ -19,7 +19,7 @@ object Exp9Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("exp9-attr-precision-synthetic")
     val (syn, _, w) = JobSupport.fixtures(spark)
-    val d3l = Harness.runD3L(spark, syn, Some(w))._1
+    val d3l = Harness.runD3L(spark, syn, Some(w))
     val rows = Experiments.attrPrecision(syn, JobSupport.ks, d3l,
       Harness.runTus(spark, syn), Harness.runAurum(spark, syn))
     println(Experiments.fmtCov(rows, "attr_prec"))
@@ -32,7 +32,7 @@ object Exp10Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("exp10-coverage-smaller-real")
     val (_, sr, w) = JobSupport.fixtures(spark)
-    val d3l = Harness.runD3L(spark, sr, Some(w))._1
+    val d3l = Harness.runD3L(spark, sr, Some(w))
     val rows = Experiments.coverage(sr, JobSupport.ks, d3l,
       Harness.runTus(spark, sr), Harness.runAurum(spark, sr))
     println(Experiments.fmtCov(rows, "coverage"))
@@ -44,7 +44,7 @@ object Exp11Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("exp11-attr-precision-smaller-real")
     val (_, sr, w) = JobSupport.fixtures(spark)
-    val d3l = Harness.runD3L(spark, sr, Some(w))._1
+    val d3l = Harness.runD3L(spark, sr, Some(w))
     val rows = Experiments.attrPrecision(sr, JobSupport.ks, d3l,
       Harness.runTus(spark, sr), Harness.runAurum(spark, sr))
     println(Experiments.fmtCov(rows, "attr_prec"))

@@ -30,10 +30,10 @@ object Tus {
       catalog: DataFrame,
       signatures: DataFrame, // attr, measure, sig, table_id, col_idx
       buckets: DataFrame,    // measure, band, bucket, attr, table_id
-      tokenEmbeddings: DataFrame,
+      /** Token → vector model the NL signatures were built with. */
+      embeddings: Map[String, Array[Float]],
       kbPath: String,
   ) {
-    // tokenEmbeddings is a local frame of the trained model: nothing to cache.
     def cacheAll(): TusIndexes = {
       Seq(catalog, signatures, buckets).foreach(df => { df.cache(); df.count() })
       this
@@ -51,7 +51,7 @@ object Tus {
     * every distinct token — the dominant indexing cost, as in the paper).
     */
   def index(spark: SparkSession, lakeLong: DataFrame, kbPath: String,
-            reuseEmbeddings: Option[DataFrame] = None): TusIndexes = {
+            reuseEmbeddings: Option[Map[String, Array[Float]]] = None): TusIndexes = {
     import spark.implicits._
     val lake = lakeLong
       .withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
@@ -102,9 +102,8 @@ object Tus {
 
     // NL: mean embedding of the distinct tokens (embeddings trained on the
     // lake corpus, shared substitute for TUS's pretrained vectors).
-    val tokenEmbeddings = reuseEmbeddings.getOrElse(
-      FeatureExtraction.trainEmbeddings(values.rdd.map(_._2)).toSeq.toDF("token", "vec"))
-    val sigNl = attrTokens.join(tokenEmbeddings, Seq("token"))
+    val embeddings = reuseEmbeddings.getOrElse(FeatureExtraction.trainEmbeddings(values.rdd.map(_._2)))
+    val sigNl = attrTokens.join(embeddings.toSeq.toDF("token", "vec"), Seq("token"))
       .select($"attr", $"vec").as[(String, Array[Float])]
       .groupByKey(_._1)
       .mapGroups { (a, it) => (a, Nl, RandomProjection.signature(Embeddings.mean(it.map(_._2).toSeq))) }
@@ -122,7 +121,7 @@ object Tus {
       .toDF("measure", "band", "bucket", "attr", "table_id")
 
     lake.unpersist(); values.unpersist(); attrTokens.unpersist()
-    TusIndexes(catalog, signatures, buckets, tokenEmbeddings, kbPath)
+    TusIndexes(catalog, signatures, buckets, embeddings, kbPath)
   }
 
   private val simUdf = udf((m: String, a: Seq[Long], b: Seq[Long]) => {
@@ -149,7 +148,7 @@ object Tus {
   def queryTable(spark: SparkSession, idx: TusIndexes, target: LakeTable,
                  excludeId: Option[String] = None): TusResult = {
     val tLong = LakeDf.toLong(spark, Seq(target))
-    val tIdx = index(spark, tLong, idx.kbPath, reuseEmbeddings = Some(idx.tokenEmbeddings))
+    val tIdx = index(spark, tLong, idx.kbPath, reuseEmbeddings = Some(idx.embeddings))
     val res = queryWith(spark, tIdx.buckets, tIdx.signatures, idx)
     excludeId match {
       case Some(ex) => TusResult(

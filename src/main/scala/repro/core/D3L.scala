@@ -1,11 +1,10 @@
 package repro.core
 
 import java.util.concurrent.{Callable, ForkJoinPool}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.types._
 import repro.lake.LakeTable
 import repro.lsh.{MinHash, RandomProjection}
@@ -16,29 +15,52 @@ import repro.stats.{Ccdf, KolmogorovSmirnov}
   * (Eq. 1) → weighted Euclidean score (Eq. 3) → ranking.
   *
   * Indexes are built on Spark ([[index]]); queries run in plain Scala
-  * against the driver-resident [[ServingIndex]] and start no Spark job.
+  * against the driver-resident [[ServingIndex]], start no Spark job and
+  * answer with plain values ([[Ranked]], [[Aligned]]).
   */
 object D3L {
 
-  /** Result of one (batched) discovery query, as local DataFrames, each
-    * built on its first access (a caller that reads only `ranking` pays
-    * for no other frame):
-    *  - ranking:     t_table, s_table, dN..dD, score, rank (1 = most related)
-    *  - alignments:  t_table, t_col, s_table, s_col, best_dist
-    *  - tablePairs:  t_table, s_table — "some index relates S to T", the
-    *                 Algorithm 3 guard set: every candidate table is scored,
-    *                 so these are the ranking's pairs
+  /** Lake table `sTable` as a candidate for target `tTable`: its Eq. 1
+    * distances in [[Evidence.all]] order (ℕ, 𝕍, 𝔽, 𝔼, 𝔻), its Eq. 3 score
+    * and its rank among the target's candidates (1 = most related).
     */
-  final class QueryResult(ranking0: => DataFrame, alignments0: => DataFrame, tablePairs0: => DataFrame) {
-    lazy val ranking: DataFrame = ranking0
-    lazy val alignments: DataFrame = alignments0
-    lazy val tablePairs: DataFrame = tablePairs0
+  final case class Ranked(tTable: String, sTable: String, dist: ArraySeq[Double], score: Double, rank: Int)
+
+  /** Column `sCol` of `sTable` aligned with column `tCol` of target `tTable`
+    * at distance `dist`, the smallest over the evidence types (≤ 1−τ).
+    */
+  final case class Aligned(tTable: String, tCol: Int, sTable: String, sCol: Int, dist: Double)
+
+  /** Result of one (batched) discovery query: the ranking and the
+    * alignments of every target, in target order, each target's ranking in
+    * rank order. The Algorithm 3 guard set ("some index relates S to T") is
+    * the ranking's (tTable, sTable) pairs: every candidate table is scored.
+    *
+    * The frames are local DataFrame views of these values, for code that
+    * wants Spark (perfbench, Table I), each built on its first access:
+    *  - ranking:     t_table, s_table, dN..dD, score, rank
+    *  - alignments:  t_table, t_col, s_table, s_col, best_dist
+    *  - tablePairs:  t_table, s_table
+    */
+  final class QueryResult private[core] (spark: SparkSession, val ranked: IndexedSeq[Ranked],
+                                         val aligned: IndexedSeq[Aligned]) {
+    lazy val ranking: DataFrame = spark.createDataFrame(
+      ranked.map(r => Row.fromSeq(Seq[Any](r.tTable, r.sTable) ++ r.dist :+ r.score :+ r.rank)).asJava,
+      rankingSchema)
+    lazy val alignments: DataFrame = spark.createDataFrame(
+      aligned.map(a => Row(a.tTable, a.tCol, a.sTable, a.sCol, a.dist)).asJava, alignmentSchema)
+    lazy val tablePairs: DataFrame = ranking.select("t_table", "s_table")
   }
 
-  object QueryResult {
-    def apply(ranking: => DataFrame, alignments: => DataFrame, tablePairs: => DataFrame): QueryResult =
-      new QueryResult(ranking, alignments, tablePairs)
-  }
+  private val rankingSchema = StructType(
+    Seq(StructField("t_table", StringType, nullable = false), StructField("s_table", StringType, nullable = false)) ++
+      Evidence.all.map(e => StructField(s"d$e", DoubleType, nullable = false)) ++
+      Seq(StructField("score", DoubleType, nullable = false), StructField("rank", IntegerType, nullable = false)))
+
+  private val alignmentSchema = StructType(Seq(
+    StructField("t_table", StringType, nullable = false), StructField("t_col", IntegerType, nullable = false),
+    StructField("s_table", StringType, nullable = false), StructField("s_col", IntegerType, nullable = false),
+    StructField("best_dist", DoubleType, nullable = false)))
 
   private val EvN = Evidence.all.indexOf(Evidence.N)
   private val EvF = Evidence.all.indexOf(Evidence.F)
@@ -84,14 +106,14 @@ object D3L {
   def queryWith(spark: SparkSession, t: LakeIndexes, s: LakeIndexes, cfg: D3LConfig): QueryResult =
     search(spark, t.serving, t.serving.attrs, s.serving, cfg)
 
-  /** Answer rows of one target table. */
-  private final case class TableAnswer(ranking: Seq[Row], alignments: Seq[Row])
+  /** Answer of one target table. */
+  private final case class TableAnswer(ranked: IndexedSeq[Ranked], aligned: IndexedSeq[Aligned])
 
   /** The query pipeline: `targets`, attributes of the index `from`, against
     * `lake`. Tables in `exclude`, and every target's own table, are dropped
     * at the probe, before any weighting. Every step after the probe is
     * independent per target table, so the tables are answered concurrently
-    * on the driver's cores and their rows concatenated in target order.
+    * on the driver's cores and their answers concatenated in target order.
     */
   private def search(spark: SparkSession, from: ServingIndex, targets: Seq[ServedAttr],
                      lake: ServingIndex, cfg: D3LConfig, exclude: Set[String] = Set.empty): QueryResult = {
@@ -101,9 +123,7 @@ object D3L {
     val answers = onCores(targets.map(_.tableId).distinct) { id =>
       searchTable(from, byTable(id).toIndexedSeq, lake, excluded, ew, cfg.tau)
     }
-    lazy val ranking = local(spark, rankingSchema, answers.flatMap(_.ranking))
-    QueryResult(ranking, local(spark, alignmentSchema, answers.flatMap(_.alignments)),
-      ranking.select("t_table", "s_table"))
+    new QueryResult(spark, answers.flatMap(_.ranked).toIndexedSeq, answers.flatMap(_.aligned).toIndexedSeq)
   }
 
   /** Workers for the target tables of batched queries, one per core. */
@@ -229,9 +249,9 @@ object D3L {
       (0 until nEv).foreach(e => sq += math.pow(ew(e) * d(e), 2.0))
       (lake.tableIds(cands(c)), d, math.sqrt(sq / wSum))
     }
-    val ranking = scored
+    val ranked = scored
       .sortBy(r => (r._3, r._1))(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.String))
-      .zipWithIndex.map { case ((st, d, score), i) => Row.fromSeq(Seq[Any](tableId, st) ++ d :+ score :+ (i + 1)) }
+      .zipWithIndex.map { case ((st, d, score), i) => Ranked(tableId, st, ArraySeq.unsafeWrapArray(d), score, i + 1) }
 
     // ---- attribute alignments (coverage / join-path machinery) -------------
     // An attribute pair counts as *aligned* only when some evidence distance
@@ -247,40 +267,24 @@ object D3L {
         best.update(k, math.min(best.getOrElse(k, 1.0), pairs.dist(i)))
       }
     }
-    val alignments = best.keys.toVector.sorted.map { k =>
+    val aligned = best.keys.toVector.sorted.map { k =>
       val (t, s) = (ts((k / nAttrs).toInt), lake.attrs((k % nAttrs).toInt))
-      Row(tableId, t.colIdx, s.tableId, s.colIdx, best(k))
+      Aligned(tableId, t.colIdx, s.tableId, s.colIdx, best(k))
     }
 
-    TableAnswer(ranking, alignments)
+    TableAnswer(ranked, aligned)
   }
 
-  private val rankingSchema = StructType(
-    Seq(StructField("t_table", StringType, nullable = false), StructField("s_table", StringType, nullable = false)) ++
-      Evidence.all.map(e => StructField(s"d$e", DoubleType, nullable = false)) ++
-      Seq(StructField("score", DoubleType, nullable = false), StructField("rank", IntegerType, nullable = false)))
-
-  private val alignmentSchema = StructType(Seq(
-    StructField("t_table", StringType, nullable = false), StructField("t_col", IntegerType, nullable = false),
-    StructField("s_table", StringType, nullable = false), StructField("s_col", IntegerType, nullable = false),
-    StructField("best_dist", DoubleType, nullable = false)))
-
-  /** A local DataFrame: filtering and collecting it runs on the driver
-    * without a Spark job.
+  /** Ranking by a single evidence type only (Experiment 1): per target,
+    * the candidates ordered by that distance (tables without such evidence
+    * have distance 1), ties by table id, ranked 1..n; scores unchanged.
     */
-  private def local(spark: SparkSession, schema: StructType, rows: Seq[Row]): DataFrame =
-    spark.createDataFrame(rows.asJava, schema)
-
-  /** Ranking that uses a single evidence type only (Experiment 1): tables
-    * with no such evidence rank last (distance 1).
-    */
-  def rankBySingleEvidence(ranking: DataFrame, evidence: String): DataFrame = {
-    val spark = ranking.sparkSession
-    import spark.implicits._
-    ranking
-      .withColumn("score1", col(s"d$evidence"))
-      .withColumn("rank", row_number().over(
-        Window.partitionBy("t_table").orderBy($"score1".asc, $"s_table".asc)))
-      .drop("score1")
+  def rankBySingleEvidence(ranked: Seq[Ranked], evidence: String): Seq[Ranked] = {
+    val e = Evidence.all.indexOf(evidence)
+    val byTarget = ranked.groupBy(_.tTable)
+    ranked.map(_.tTable).distinct.flatMap { t =>
+      byTarget(t).sortBy(r => (r.dist(e), r.sTable))(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.String))
+        .zipWithIndex.map { case (r, i) => r.copy(rank = i + 1) }
+    }
   }
 }

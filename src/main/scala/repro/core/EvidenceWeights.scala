@@ -24,14 +24,8 @@ object EvidenceWeights {
   def buildExamples(spark: SparkSession, idx: LakeIndexes, lake: Lake,
                     targetIds: Seq[String], cfg: D3LConfig = D3LConfig())
       : (Array[Array[Double]], Array[Int]) = {
-    import spark.implicits._
-    val res = D3L.queryAll(spark, idx, targetIds, cfg)
-    val rows = res.ranking
-      .select("t_table", "s_table", "dN", "dV", "dF", "dE", "dD")
-      .as[(String, String, Double, Double, Double, Double, Double)]
-      .collect()
-    val labelled = rows.map { case (t, s, dn, dv, df, de, dd) =>
-      (Array(1 - dn, 1 - dv, 1 - df, 1 - de, 1 - dd), if (lake.truth.related(t, s)) 1 else 0)
+    val labelled = D3L.queryAll(spark, idx, targetIds, cfg).ranked.toArray.map { r =>
+      (r.dist.map(1 - _).toArray, if (lake.truth.related(r.tTable, r.sTable)) 1 else 0)
     }
     val (pos, neg) = labelled.partition(_._2 == 1)
     val rnd = new scala.util.Random(42)

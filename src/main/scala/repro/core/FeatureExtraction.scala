@@ -123,7 +123,9 @@ object FeatureExtraction {
       .flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
 
   /** Build the index of a lake in two Spark jobs. The long lake is
-    * regrouped by `table_id` once, into `defaultParallelism` partitions, and
+    * regrouped by `table_id` once, into `defaultParallelism` partitions,
+    * which rejects a column with two names or with two cells in one row
+    * (the failing task's message names the table, column and row), and
     * both consumers read that one shuffle's output: embedding training
     * ([[trainEmbeddings]], whose model is collected to the driver and
     * broadcast to the kernel) and the kernel, which runs once per table and
@@ -142,9 +144,13 @@ object FeatureExtraction {
       .rdd
       .map { case (id, ci, name, row, v) => (id, (ci, name, row, v)) }
       .groupByKey(spark.sparkContext.defaultParallelism)
-      .mapValues { rows =>
-        rows.toSeq.groupBy(_._1).toSeq.map { case (ci, rs) =>
+      .map { case (id, rows) =>
+        id -> rows.toSeq.groupBy(_._1).toSeq.map { case (ci, rs) =>
           val sorted = rs.sortBy(_._3)
+          sorted.iterator.zip(sorted.iterator.drop(1)).foreach { case (a, b) =>
+            require(a._2 == b._2, s"malformed lake: table '$id' column $ci has two names, '${a._2}' and '${b._2}'")
+            require(a._3 != b._3, s"malformed lake: table '$id' column $ci has two cells in row ${a._3}")
+          }
           ColumnValues(ci, sorted.head._2, sorted.map(_._4))
         }
       }

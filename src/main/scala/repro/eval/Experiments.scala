@@ -30,20 +30,19 @@ object Experiments {
 
   // ---- Experiment 1: individual evidence types (Fig. 3) --------------------
 
-  def individualEvidence(spark: SparkSession, f: Harness.Fixture, ranking: DataFrame,
-                         run: Harness.SystemRun, ks: Seq[Int]): Seq[PrRow] = {
-    val singles = Evidence.all.filterNot(_ == Evidence.D).flatMap { ev =>
-      val ranks = Harness.runD3LSingleEvidence(ranking, ev)
+  /** Precision/recall at each k of D³L's `ranked` answer and of its
+    * re-rankings by ℕ, 𝕍, 𝔽 and 𝔼 alone.
+    */
+  def individualEvidence(f: Harness.Fixture, ranked: Seq[D3L.Ranked], ks: Seq[Int]): Seq[PrRow] = {
+    def rows(name: String, rs: Seq[D3L.Ranked]): Seq[PrRow] = {
+      val ranks = rs.map(r => Metrics.Ranked(r.tTable, r.sTable, r.rank))
       ks.map { k =>
         val (p, r) = Metrics.precisionRecallAtK(ranks, f.lake.truth, k)
-        PrRow(s"d3l-$ev", k, p, r)
+        PrRow(name, k, p, r)
       }
     }
-    val agg = ks.map { k =>
-      val (p, r) = Metrics.precisionRecallAtK(run.ranks, f.lake.truth, k)
-      PrRow("d3l-all", k, p, r)
-    }
-    singles ++ agg
+    Evidence.indexed.flatMap(ev => rows(s"d3l-$ev", D3L.rankBySingleEvidence(ranked, ev))) ++
+      rows("d3l-all", ranked)
   }
 
   // ---- Experiments 2/3: comparative P/R (Figs. 4/5) ------------------------
@@ -87,8 +86,7 @@ object Experiments {
     val rows = ks.flatMap { k =>
       val (_, tD3l) = Harness.time {
         targets.foreach { t =>
-          D3L.queryTable(spark, f.d3l, t, f.cfg, excludeId = Some(t.id))
-            .ranking.filter(org.apache.spark.sql.functions.col("rank") <= k).collect()
+          D3L.queryTable(spark, f.d3l, t, f.cfg, excludeId = Some(t.id)).ranked.filter(_.rank <= k)
         }
       }
       val (_, tTus) = Harness.time {

@@ -61,8 +61,7 @@ object Harness {
     val lakeLong = LakeDf.toLong(spark, lake.tables).cache()
     lakeLong.count()
     val d3l = D3L.index(spark, lakeLong, cfg)
-    val tus = Tus.index(spark, lakeLong, kbPath,
-      reuseEmbeddings = Some(d3l.tokenEmbeddings)).cacheAll()
+    val tus = Tus.index(spark, lakeLong, kbPath, reuseEmbeddings = Some(d3l.embeddings)).cacheAll()
     val aurum = Aurum.index(spark, lakeLong)
     val saGraph = JoinPaths.buildGraph(spark, d3l, cfg)
     Fixture(lake, lakeLong, cfg, d3l, tus, aurum, saGraph,
@@ -93,20 +92,17 @@ object Harness {
       .map { case (t, tc, s, sc) => Metrics.Align(t, tc, s, sc) }.toSeq
   }
 
-  def runD3L(spark: SparkSession, f: Fixture,
-             weights: Option[Map[String, Double]] = None): (SystemRun, DataFrame) = {
-    val cfg = weights.map(w => f.cfg.copy(evidenceWeights = w)).getOrElse(f.cfg)
-    val res = D3L.queryAll(spark, f.d3l, f.targets, cfg)
-    val ranking = res.ranking.cache()
-    import spark.implicits._
-    val guard = res.tablePairs.as[(String, String)].collect()
-      .groupBy(_._1).map { case (t, ps) => t -> ps.map(_._2).toSet }
-    (SystemRun(collectRanks(ranking), collectAligns(res.alignments), guard), ranking)
-  }
+  /** D³L's batched query over the fixture's targets, under Eq. 3 `weights` if given. */
+  def queryD3L(spark: SparkSession, f: Fixture, weights: Option[Map[String, Double]] = None): D3L.QueryResult =
+    D3L.queryAll(spark, f.d3l, f.targets, weights.fold(f.cfg)(w => f.cfg.copy(evidenceWeights = w)))
 
-  /** Re-rank a D³L ranking DataFrame by one evidence type (Experiment 1). */
-  def runD3LSingleEvidence(ranking: DataFrame, evidence: String): Seq[Metrics.Ranked] =
-    collectRanks(D3L.rankBySingleEvidence(ranking, evidence))
+  def runD3L(spark: SparkSession, f: Fixture, weights: Option[Map[String, Double]] = None): SystemRun = {
+    val res = queryD3L(spark, f, weights)
+    SystemRun(
+      res.ranked.map(r => Metrics.Ranked(r.tTable, r.sTable, r.rank)),
+      res.aligned.map(a => Metrics.Align(a.tTable, a.tCol, a.sTable, a.sCol)),
+      res.ranked.groupBy(_.tTable).map { case (t, rs) => t -> rs.map(_.sTable).toSet })
+  }
 
   def runTus(spark: SparkSession, f: Fixture): SystemRun = {
     val res = Tus.queryAll(spark, f.tus, f.targets)

@@ -1,20 +1,25 @@
 package repro
 
 import org.scalacheck.{Gen, Prop, Test => ScTest}
+import org.scalacheck.rng.Seed
 
 /** Minimal ScalaCheck bridge (the scalatestplus adapter is not in the
   * offline cache): run a property and assert it passed.
   */
 trait PropSupport {
 
-  def checkProp(p: Prop, minSuccessful: Int = 100): Unit = {
+  /** `seed` fixes the generated cases, for properties too costly to run
+    * on more than a few.
+    */
+  def checkProp(p: Prop, minSuccessful: Int = 100, seed: Option[Long] = None): Unit = {
     val params = ScTest.Parameters.default.withMinSuccessfulTests(minSuccessful)
+      .withInitialSeed(seed.map(Seed(_)))
     val res = ScTest.check(params, p)
     assert(res.passed, s"property failed: ${res.status}")
   }
 
-  def forAllGen[A](gen: Gen[A], minSuccessful: Int = 100)(body: A => Unit): Unit =
-    checkProp(Prop.forAll(gen) { a => body(a); true }, minSuccessful)
+  def forAllGen[A](gen: Gen[A], minSuccessful: Int = 100, seed: Option[Long] = None)(body: A => Unit): Unit =
+    checkProp(Prop.forAll(gen) { a => body(a); true }, minSuccessful, seed)
 
   /** Punctuation, including non-ASCII currency signs. */
   val punctChars: Seq[Char] = ",.-#$£_/()'@:".toSeq

@@ -1,14 +1,21 @@
 package repro.core
 
-import repro.SparkSpec
-import repro.lake.{Generators, Lake, LakeDf}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
+import repro.lake.{Generators, Lake, LakeColumn, LakeDf, LakeTable}
 
-/** The served query pipeline (`D3L.queryAll`, plain Scala on the driver)
-  * returns what the Spark-SQL reference pipeline returns over the same
-  * `LakeIndexes` frames: same ranking (scores within 1e-9, order swaps only
-  * between tied scores), same alignments and same guard set.
+/** A D³L answer does not depend on its route. The served query pipeline
+  * (`D3L.queryAll`, plain Scala on the driver) returns what the Spark-SQL
+  * reference pipeline returns over the same `LakeIndexes` frames: same
+  * ranking (scores within 1e-9, order swaps only between tied scores), same
+  * alignments and same guard set. A batch answers each target as that
+  * target alone does, and `queryTable` of a lake member answers as
+  * `queryAll` of it. Checked on two fixed lakes and on generated ones.
   */
-class D3LEquivalenceSpec extends SparkSpec {
+class D3LEquivalenceSpec extends SparkSpec with PropSupport {
 
   private val Eps = 1e-9
   private val skewed = Map("N" -> 2.5, "V" -> 0.2, "F" -> 0.8, "E" -> 0.5, "D" -> 1.0)
@@ -18,32 +25,42 @@ class D3LEquivalenceSpec extends SparkSpec {
     "Smaller Real" -> Generators.smallerReal(nClusters = 3, tablesPerCluster = 5, poolSize = 80, seed = 62),
   ).map { case (name, lake) => name -> (lake, D3L.index(spark, LakeDf.toLong(spark, lake.tables))) }.toMap
 
-  private type RankRow = (String, String, Seq[Double], Double, Int)
+  private def byTarget(rs: Seq[D3L.Ranked]): Map[String, Seq[D3L.Ranked]] =
+    rs.groupBy(_.tTable).map { case (t, ts) => t -> ts.sortBy(_.rank) }
 
-  private def ranking(res: D3L.QueryResult): Map[String, Seq[RankRow]] =
-    res.ranking.select("t_table", "s_table", "dN", "dV", "dF", "dE", "dD", "score", "rank").collect()
-      .map(r => (r.getString(0), r.getString(1), (2 to 6).map(r.getDouble), r.getDouble(7), r.getInt(8)))
-      .toSeq.groupBy(_._1).map { case (t, rs) => t -> rs.sortBy(_._5) }
+  private def byPair(as: Seq[D3L.Aligned]): Map[(String, Int, String, Int), Double] =
+    as.map(a => (a.tTable, a.tCol, a.sTable, a.sCol) -> a.dist).toMap
 
-  private def alignments(res: D3L.QueryResult): Map[(String, Int, String, Int), Double] =
-    res.alignments.select("t_table", "t_col", "s_table", "s_col", "best_dist").collect()
-      .map(r => (r.getString(0), r.getInt(1), r.getString(2), r.getInt(3)) -> r.getDouble(4)).toMap
-
-  private def pairs(res: D3L.QueryResult): Set[(String, String)] =
-    res.tablePairs.collect().map(r => (r.getString(0), r.getString(1))).toSet
-
-  private def assertSameRanking(target: String, got: Seq[RankRow], want: Seq[RankRow]): Unit = {
-    assert(got.map(_._5) == (1 to got.size), s"$target: ranks not 1..n")
-    assert(got.map(_._2).toSet == want.map(_._2).toSet, s"$target: different candidate tables")
-    val wantBy = want.map(r => r._2 -> r).toMap
-    got.foreach { case (_, s, d, score, rank) =>
-      val (_, _, wd, wScore, wRank) = wantBy(s)
-      assert(math.abs(score - wScore) <= Eps, s"$target/$s: score $score vs $wScore")
-      d.zip(wd).foreach { case (a, b) => assert(math.abs(a - b) <= Eps, s"$target/$s: distances $d vs $wd") }
+  private def assertSameRanking(target: String, got: Seq[D3L.Ranked], want: Seq[D3L.Ranked]): Unit = {
+    assert(got.map(_.rank) == (1 to got.size), s"$target: ranks not 1..n")
+    assert(got.map(_.sTable).toSet == want.map(_.sTable).toSet, s"$target: different candidate tables")
+    val wantBy = want.map(r => r.sTable -> r).toMap
+    got.foreach { r =>
+      val w = wantBy(r.sTable)
+      assert(math.abs(r.score - w.score) <= Eps, s"$target/${r.sTable}: score ${r.score} vs ${w.score}")
+      r.dist.zip(w.dist).foreach { case (a, b) =>
+        assert(math.abs(a - b) <= Eps, s"$target/${r.sTable}: distances ${r.dist} vs ${w.dist}")
+      }
       // A different rank is allowed only where the reference puts a tied score.
-      if (rank != wRank)
-        assert(math.abs(want(rank - 1)._4 - score) <= Eps, s"$target/$s: rank $rank vs $wRank, not a tie")
+      if (r.rank != w.rank)
+        assert(math.abs(want(r.rank - 1).score - r.score) <= Eps, s"$target/${r.sTable}: rank ${r.rank} vs ${w.rank}, not a tie")
     }
+  }
+
+  /** The served values against the reference's frames, read independently
+    * of `D3L.QueryResult`'s frames.
+    */
+  private def assertMatchesReference(served: D3L.QueryResult, ref: SparkSqlReference.Result): Unit = {
+    val (got, want) = (byTarget(served.ranked), byTarget(ref.ranked))
+    assert(got.keySet == want.keySet)
+    got.keys.foreach(t => assertSameRanking(t, got(t), want(t)))
+
+    val (ga, wa) = (byPair(served.aligned), byPair(ref.aligned))
+    assert(ga.size == served.aligned.size, "an attribute pair is aligned twice")
+    assert(ga.keySet == wa.keySet)
+    ga.foreach { case (k, d) => assert(math.abs(d - wa(k)) <= Eps, s"alignment $k: $d vs ${wa(k)}") }
+
+    assert(served.ranked.map(r => (r.tTable, r.sTable)).toSet == ref.pairs)
   }
 
   for (lakeName <- Seq("Synthetic", "Smaller Real"); (wName, weights) <- Seq("uniform" -> None, "skewed" -> Some(skewed)))
@@ -52,18 +69,8 @@ class D3LEquivalenceSpec extends SparkSpec {
       val cfg = weights.fold(D3LConfig())(w => D3LConfig(evidenceWeights = w))
       val targets = lake.tables.take(6).map(_.id)
       val served = D3L.queryAll(spark, idx, targets, cfg)
-      val ref = SparkSqlReference.queryAll(spark, idx, targets, cfg)
-
-      val (got, want) = (ranking(served), ranking(ref))
-      assert(got.keySet == want.keySet)
-      assert(got.keySet == targets.toSet)
-      targets.foreach(t => assertSameRanking(t, got(t), want(t)))
-
-      val (ga, wa) = (alignments(served), alignments(ref))
-      assert(ga.keySet == wa.keySet)
-      ga.foreach { case (k, d) => assert(math.abs(d - wa(k)) <= Eps, s"alignment $k: $d vs ${wa(k)}") }
-
-      assert(pairs(served) == pairs(ref))
+      assert(served.ranked.map(_.tTable).toSet == targets.toSet)
+      assertMatchesReference(served, SparkSqlReference.queryAll(spark, idx, targets, cfg))
     }
 
   for (lakeName <- Seq("Synthetic", "Smaller Real"))
@@ -71,16 +78,105 @@ class D3LEquivalenceSpec extends SparkSpec {
       val (lake, idx) = lakes(lakeName)
       val targets = lake.tables.take(6).map(_.id)
       val batched = D3L.queryAll(spark, idx, targets)
-      def rows(res: D3L.QueryResult) = (res.ranking.collect().toSeq, res.alignments.collect().toSeq,
-        res.tablePairs.collect().toSeq)
-      assert(rows(D3L.queryAll(spark, idx, targets)) == rows(batched), "two identical calls return different rows")
+      val again = D3L.queryAll(spark, idx, targets)
+      assert((again.ranked, again.aligned) == ((batched.ranked, batched.aligned)), "two identical calls differ")
+      val alone = targets.map(t => D3L.queryAll(spark, idx, Seq(t)))
+      assert(batched.ranked == alone.flatMap(_.ranked), "ranking differs")
+      assert(batched.aligned == alone.flatMap(_.aligned), "alignments differ")
+    }
 
-      val (got, ga, gp) = (ranking(batched), alignments(batched), pairs(batched))
-      targets.foreach { t =>
-        val alone = D3L.queryAll(spark, idx, Seq(t))
-        assert(got.getOrElse(t, Nil) == ranking(alone).getOrElse(t, Nil), s"$t: ranking differs")
-        assert(ga.filter(_._1._1 == t) == alignments(alone), s"$t: alignments differ")
-        assert(gp.filter(_._1 == t) == pairs(alone), s"$t: guard set differs")
+  /** Experiment 1's re-ranking as it was written on Spark: a `Window` over
+    * the ranking frame.
+    */
+  private def windowRankBySingleEvidence(ranking: DataFrame, evidence: String): DataFrame =
+    ranking
+      .withColumn("score1", col(s"d$evidence"))
+      .withColumn("rank", row_number().over(
+        Window.partitionBy("t_table").orderBy(col("score1").asc, col("s_table").asc)))
+      .drop("score1")
+
+  for (lakeName <- Seq("Synthetic", "Smaller Real"))
+    test(s"rankBySingleEvidence equals the Window re-ranking on $lakeName") {
+      val (lake, idx) = lakes(lakeName)
+      val res = D3L.queryAll(spark, idx, lake.tables.map(_.id))
+      Evidence.indexed.foreach { ev =>
+        val got = D3L.rankBySingleEvidence(res.ranked, ev)
+        val want = SparkSqlReference.rankedOf(windowRankBySingleEvidence(res.ranking, ev))
+        def order(rs: Seq[D3L.Ranked]) = rs.sortBy(r => (r.tTable, r.rank))
+        assert(order(got) == order(want), s"$lakeName, $ev")
+        assert(got.map(r => (r.tTable, r.sTable, r.score)).toSet == res.ranked.map(r => (r.tTable, r.sTable, r.score)).toSet)
       }
     }
+
+  // ---- generated lakes -------------------------------------------------------
+
+  private val whitespace: Gen[String] = Gen.oneOf(" ", "   ", "\t", " \u00A0 ")
+  private val numbers: Gen[String] = Gen.oneOf(
+    Gen.choose(-99, 999).map(_.toString), Gen.choose(0, 9999).map(i => s"${i / 100}.${i % 100}"))
+
+  private def columnGen(pool: Seq[String], nRows: Int, allNumeric: Boolean): Gen[LakeColumn] = for {
+    name <- Gen.frequency(6 -> Gen.oneOf("id", "name", "city", "code", "amount"), 1 -> Gen.const(""))
+    numeric <- if (allNumeric) Gen.const(true) else Gen.frequency(1 -> true, 3 -> false)
+    values <- Gen.listOfN(nRows,
+      if (numeric) numbers else Gen.frequency(4 -> Gen.oneOf(pool), 1 -> textValues, 1 -> whitespace))
+  } yield LakeColumn(name, values.toIndexedSeq, "generated", isSubject = false)
+
+  private def tableGen(i: Int, pool: Seq[String]): Gen[LakeTable] = for {
+    prefix <- Gen.oneOf("t", "t#", "a#b#")
+    nRows <- Gen.frequency(1 -> Gen.const(1), 3 -> Gen.choose(2, 6))
+    allNumeric <- Gen.frequency(1 -> true, 4 -> false)
+    nCols <- Gen.frequency(1 -> Gen.const(1), 3 -> Gen.choose(2, 4))
+    cols <- Gen.listOfN(nCols, columnGen(pool, nRows, allNumeric))
+  } yield LakeTable(s"$prefix$i", "generated", cols.toIndexedSeq)
+
+  /** Small lakes whose tables draw text cells from one shared pool, so that
+    * they overlap: empty, null and whitespace-only cells, all-numeric,
+    * single-row and single-column tables, `#` in table ids, empty and
+    * duplicate column names.
+    */
+  private val generatedLakes: Gen[IndexedSeq[LakeTable]] = for {
+    pool <- Gen.listOfN(6, Gen.frequency(4 -> textValues, 1 -> whitespace, 1 -> numbers))
+    nTables <- Gen.choose(2, 5)
+    tables <- Gen.sequence[List[LakeTable], LakeTable]((0 until nTables).map(tableGen(_, pool)))
+  } yield tables.toIndexedSeq
+
+  private def indexOf(tables: Seq[LakeTable]): LakeIndexes = D3L.index(spark, LakeDf.toLong(spark, tables))
+
+  /** Every route to a lake's answers gives the same values, and the answers
+    * are well formed.
+    */
+  private def checkRoutes(tables: Seq[LakeTable]): Unit = {
+    val idx = indexOf(tables)
+    val cfg = D3LConfig()
+    val ids = tables.map(_.id)
+    val batch = D3L.queryAll(spark, idx, ids, cfg)
+    val alone = ids.map(id => D3L.queryAll(spark, idx, Seq(id), cfg))
+    assert(batch.ranked == alone.flatMap(_.ranked), "batched ranking differs from single-target ones")
+    assert(batch.aligned == alone.flatMap(_.aligned), "batched alignments differ from single-target ones")
+    tables.zip(alone).foreach { case (t, a) =>
+      val q = D3L.queryTable(spark, idx, t, cfg, excludeId = Some(t.id))
+      assert(q.ranked == a.ranked, s"${t.id}: queryTable ranking differs from queryAll")
+      assert(q.aligned == a.aligned, s"${t.id}: queryTable alignments differ from queryAll")
+    }
+    byTarget(batch.ranked).foreach { case (t, rs) =>
+      assert(rs.map(_.rank) == (1 to rs.size), s"$t: ranks not 1..n")
+      assert(rs.forall(r => r.score >= 0.0 && r.score <= 1.0), s"$t: score outside [0, 1]")
+      assert(rs.forall(_.sTable != t), s"$t ranks itself")
+    }
+    assert(batch.aligned.forall(_.dist <= 1.0 - cfg.tau), "alignment beyond 1 − τ")
+  }
+
+  test("on generated lakes, batched, single-target and queryTable answers are the same values") {
+    val (n, t0) = (12, System.nanoTime())
+    forAllGen(generatedLakes, minSuccessful = n, seed = Some(20261019L))(checkRoutes)
+    info(f"$n generated lakes in ${(System.nanoTime() - t0) / 1e9}%.1f s")
+  }
+
+  test("on generated lakes, served queryAll equals the Spark-SQL reference") {
+    forAllGen(generatedLakes, minSuccessful = 3, seed = Some(7L)) { tables =>
+      val idx = indexOf(tables)
+      val ids = tables.map(_.id)
+      assertMatchesReference(D3L.queryAll(spark, idx, ids), SparkSqlReference.queryAll(spark, idx, ids, D3LConfig()))
+    }
+  }
 }

@@ -19,7 +19,7 @@ class D3LSpec extends SparkSpec {
   private lazy val idx = D3L.index(spark, long)
   private lazy val targets = lake.tables.take(3).map(_.id) // one per cluster
   private lazy val result = D3L.queryAll(spark, idx, targets)
-  private lazy val ranking = result.ranking.cache()
+  private lazy val ranking = result.ranking
 
   test("ranking contains every target") {
     val ts = ranking.select("t_table").distinct().collect().map(_.getString(0)).toSet
@@ -104,20 +104,16 @@ class D3LSpec extends SparkSpec {
   }
 
   test("single-evidence re-ranking produces valid dense ranks") {
-    val byName = D3L.rankBySingleEvidence(ranking, Evidence.N)
+    val byName = D3L.rankBySingleEvidence(result.ranked, Evidence.N)
     targets.foreach { t =>
-      val rs = byName.filter(col("t_table") === t).select("rank")
-        .collect().map(_.getInt(0)).sorted.toSeq
+      val rs = byName.filter(_.tTable == t).map(_.rank).sorted
       assert(rs == (1 to rs.size))
     }
   }
 
   test("single-evidence rankings differ from the aggregate") {
-    val byFormat = D3L.rankBySingleEvidence(ranking, Evidence.F)
-      .select("t_table", "s_table", "rank").collect()
-      .map(r => (r.getString(0), r.getString(1)) -> r.getInt(2)).toMap
-    val agg = ranking.select("t_table", "s_table", "rank").collect()
-      .map(r => (r.getString(0), r.getString(1)) -> r.getInt(2)).toMap
+    val byFormat = D3L.rankBySingleEvidence(result.ranked, Evidence.F).map(r => (r.tTable, r.sTable) -> r.rank).toMap
+    val agg = result.ranked.map(r => (r.tTable, r.sTable) -> r.rank).toMap
     assert(byFormat != agg)
   }
 
@@ -194,16 +190,31 @@ class D3LSpec extends SparkSpec {
   }
 
   test("QueryResult builds each frame once, on its first access") {
-    val built = scala.collection.mutable.ArrayBuffer.empty[String]
-    def frame(name: String) = { built += name; spark.emptyDataFrame }
-    val res = D3L.QueryResult(frame("ranking"), frame("alignments"), frame("tablePairs"))
-    assert(built.isEmpty)
+    // Without a session no frame can be built: reading the values builds none.
+    val values = new D3L.QueryResult(null, result.ranked, result.aligned)
+    assert(values.ranked.nonEmpty && values.aligned.nonEmpty)
+    val res = D3L.queryAll(spark, idx, targets)
     val ranking = res.ranking
-    assert(built == Seq("ranking"))
     assert(res.ranking eq ranking)
     val (alignments, tablePairs) = (res.alignments, res.tablePairs)
     assert((res.alignments eq alignments) && (res.tablePairs eq tablePairs))
-    assert(built == Seq("ranking", "alignments", "tablePairs"))
+  }
+
+  test("the answer frames are views of the values: schemas, column order and rows") {
+    def columns(df: org.apache.spark.sql.DataFrame) = df.schema.map(f => (f.name, f.dataType.simpleString, f.nullable))
+    val t = lake.tables(2)
+    Seq(result, D3L.queryTable(spark, idx, t, excludeId = Some(t.id))).foreach { res =>
+      assert(columns(res.ranking) == Seq(("t_table", "string", false), ("s_table", "string", false)) ++
+        Evidence.all.map(e => (s"d$e", "double", false)) ++ Seq(("score", "double", false), ("rank", "int", false)))
+      assert(columns(res.alignments) == Seq(("t_table", "string", false), ("t_col", "int", false),
+        ("s_table", "string", false), ("s_col", "int", false), ("best_dist", "double", false)))
+      assert(columns(res.tablePairs) == Seq(("t_table", "string", false), ("s_table", "string", false)))
+      val rows = SparkSqlReference.Result(res.ranking, res.alignments, res.tablePairs)
+      assert(rows.ranked == res.ranked)
+      assert(rows.aligned == res.aligned)
+      assert(res.tablePairs.collect().toSeq.map(r => (r.getString(0), r.getString(1))) == res.ranked.map(r => (r.tTable, r.sTable)))
+    }
+    assert(result.ranked.nonEmpty && result.aligned.nonEmpty)
   }
 
   test("reading ranking alone, then alignments and tablePairs, gives the rows of an eager read") {
@@ -259,6 +270,21 @@ class D3LSpec extends SparkSpec {
       sc.removeSparkListener(listener)
     }
     jobs.get
+  }
+
+  test("D3L.index rejects a column with two names or two cells in one row, naming them") {
+    val t = lake.tables.head
+    val good = LakeDf.toLong(spark, Seq(t))
+    val cell = col("col_idx") === 1 && col("row_idx") === 2
+    val renamed = good.withColumn("col_name", when(cell, lit("other")).otherwise(col("col_name")))
+    val duplicated = good.union(good.filter(cell).withColumn("value", lit("x")))
+    Seq(
+      renamed -> Seq(s"table '${t.id}' column 1 has two names", "'other'"),
+      duplicated -> Seq(s"table '${t.id}' column 1 has two cells in row 2"),
+    ).foreach { case (bad, words) =>
+      val e = intercept[Exception](D3L.index(spark, bad))
+      words.foreach(w => assert(e.getMessage.contains(w), e.getMessage))
+    }
   }
 
   test("D3L.index leaves no persistent RDD") {

@@ -1,9 +1,9 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
-import repro.core.D3L.QueryResult
 import repro.lsh.{MinHash, RandomProjection}
 import repro.stats.KolmogorovSmirnov
 
@@ -11,9 +11,29 @@ import repro.stats.KolmogorovSmirnov
   * `LakeIndexes` frames: LSH similarity join → distances → Algorithm 2 →
   * Eq. 2 windows → Eq. 1 → Eq. 3 → ranking. The served pipeline
   * (`D3L.search`) must return the same answers; `D3LEquivalenceSpec`
-  * checks that it does.
+  * checks that it does, reading these frames into `D3L.Ranked` and
+  * `D3L.Aligned` values itself rather than through `D3L.QueryResult`'s
+  * frames.
   */
 object SparkSqlReference {
+
+  /** The reference's answer as Spark frames, with the columns of
+    * `D3L.QueryResult`'s frames; `tablePairs` is the candidate (t_table,
+    * s_table) set computed on its own, not projected from the ranking.
+    */
+  final case class Result(ranking: DataFrame, alignments: DataFrame, tablePairs: DataFrame) {
+    def ranked: Seq[D3L.Ranked] = rankedOf(ranking)
+    def aligned: Seq[D3L.Aligned] =
+      alignments.select("t_table", "t_col", "s_table", "s_col", "best_dist").collect().toSeq
+        .map(r => D3L.Aligned(r.getString(0), r.getInt(1), r.getString(2), r.getInt(3), r.getDouble(4)))
+    def pairs: Set[(String, String)] = tablePairs.collect().map(r => (r.getString(0), r.getString(1))).toSet
+  }
+
+  /** The rows of a frame with the ranking's columns, as values. */
+  def rankedOf(ranking: DataFrame): Seq[D3L.Ranked] =
+    ranking.select("t_table", "s_table", "dN", "dV", "dF", "dE", "dD", "score", "rank").collect().toSeq
+      .map(r => D3L.Ranked(r.getString(0), r.getString(1), ArraySeq.from((2 to 6).map(r.getDouble)),
+        r.getDouble(7), r.getInt(8)))
 
   /** Distance from two signatures of the `signatures` frame given the
     * evidence type: Jaccard estimate for ℕ/𝕍/𝔽, cosine estimate of the 0/1
@@ -33,7 +53,7 @@ object SparkSqlReference {
   final case class Frames(signatures: DataFrame, buckets: DataFrame, numericProfiles: DataFrame, subjects: DataFrame)
 
   /** Each of `targetIds` (lake members) against the whole lake. */
-  def queryAll(spark: SparkSession, idx: LakeIndexes, targetIds: Seq[String], cfg: D3LConfig): QueryResult = {
+  def queryAll(spark: SparkSession, idx: LakeIndexes, targetIds: Seq[String], cfg: D3LConfig): Result = {
     import spark.implicits._
     val targets = targetIds.toDF("table_id")
     val lake = Frames(idx.signatures, idx.buckets, idx.numericProfiles, idx.subjects)
@@ -48,7 +68,7 @@ object SparkSqlReference {
 
   /** The Spark-SQL pipeline: target-side index view vs lake-side indexes. */
   def queryWith(spark: SparkSession, t: Frames, s: Frames,
-                cfg: D3LConfig): QueryResult = {
+                cfg: D3LConfig): Result = {
     import spark.implicits._
 
     val tBuckets = t.buckets.select(
@@ -137,13 +157,14 @@ object SparkSqlReference {
     // banding deliberately surfaces them for the table ranking. Coverage and
     // attribute precision (§V-E) are defined over returned alignments, so
     // they use the thresholded set.
+    // The column index follows the attribute id's last '#': table ids may hold '#'.
     val alignments = pairs
-      .withColumn("t_col", split($"t_attr", "#").getItem(1).cast("int"))
-      .withColumn("s_col", split($"s_attr", "#").getItem(1).cast("int"))
+      .withColumn("t_col", substring_index($"t_attr", "#", -1).cast("int"))
+      .withColumn("s_col", substring_index($"s_attr", "#", -1).cast("int"))
       .groupBy("t_table", "t_col", "s_table", "s_col")
       .agg(min($"dist") as "best_dist")
       .filter($"best_dist" <= lit(1.0) - lit(cfg.tau))
 
-    QueryResult(ranking, alignments, candTablePairs.select("t_table", "s_table"))
+    Result(ranking, alignments, candTablePairs.select("t_table", "s_table"))
   }
 }
