@@ -85,7 +85,7 @@ object D3L {
   def queryAll(spark: SparkSession, idx: LakeIndexes, targetIds: Seq[String],
                cfg: D3LConfig = D3LConfig()): QueryResult = {
     val lake = idx.serving
-    search(spark, lake, lake.tables(targetIds), lake, cfg)
+    search(spark, lake.tables(targetIds), lake, cfg)
   }
 
   /** Single-target query for a table that may not be in the lake: features
@@ -97,31 +97,32 @@ object D3L {
     */
   def queryTable(spark: SparkSession, idx: LakeIndexes, target: LakeTable,
                  cfg: D3LConfig = D3LConfig(), excludeId: Option[String] = None): QueryResult = {
-    val lake = idx.serving
-    val t = ServingIndex.of(Seq(FeatureExtraction.extractTable(target, cfg, idx.embeddings.get)))
-    search(spark, t, t.attrs, lake, cfg, excludeId.toSet)
+    val features = FeatureExtraction.extractTable(target, cfg, idx.embeddings.get)
+    search(spark, idx.serving.targets(Seq(features)), idx.serving, cfg, excludeId.toSet)
   }
 
-  /** Target-side indexes vs lake-side indexes, both served from the driver. */
+  /** Every table of `t` (extracted with `s`'s embeddings) as a target
+    * against the lake `s`.
+    */
   def queryWith(spark: SparkSession, t: LakeIndexes, s: LakeIndexes, cfg: D3LConfig): QueryResult =
-    search(spark, t.serving, t.serving.attrs, s.serving, cfg)
+    search(spark, s.serving.targets(t.features), s.serving, cfg)
 
   /** Answer of one target table. */
   private final case class TableAnswer(ranked: IndexedSeq[Ranked], aligned: IndexedSeq[Aligned])
 
-  /** The query pipeline: `targets`, attributes of the index `from`, against
-    * `lake`. Tables in `exclude`, and every target's own table, are dropped
+  /** The query pipeline: `targets`, whose buckets are `lake`'s bucket ids,
+    * against `lake`. Tables in `exclude`, and every target's own table, are dropped
     * at the probe, before any weighting. Every step after the probe is
     * independent per target table, so the tables are answered concurrently
     * on the driver's cores and their answers concatenated in target order.
     */
-  private def search(spark: SparkSession, from: ServingIndex, targets: Seq[ServedAttr],
+  private def search(spark: SparkSession, targets: Seq[ServedAttr],
                      lake: ServingIndex, cfg: D3LConfig, exclude: Set[String] = Set.empty): QueryResult = {
     val excluded = lake.tableIds.map(exclude.contains).toArray
     val ew = Evidence.all.map(cfg.evidenceWeights).toArray
     val byTable = targets.groupBy(_.tableId)
     val answers = onCores(targets.map(_.tableId).distinct) { id =>
-      searchTable(from, byTable(id).toIndexedSeq, lake, excluded, ew, cfg.tau)
+      searchTable(byTable(id).toIndexedSeq, lake, excluded, ew, cfg.tau)
     }
     new QueryResult(spark, answers.flatMap(_.ranked).toIndexedSeq, answers.flatMap(_.aligned).toIndexedSeq)
   }
@@ -165,7 +166,7 @@ object D3L {
     * evidence) sum of Eq. 1 adds its terms in the same order whether the
     * table is queried alone or in a batch.
     */
-  private def searchTable(from: ServingIndex, ts: IndexedSeq[ServedAttr], lake: ServingIndex,
+  private def searchTable(ts: IndexedSeq[ServedAttr], lake: ServingIndex,
                           excluded: Array[Boolean], ew: Array[Double], tau: Double): TableAnswer = {
     val tableId = ts.head.tableId
     val self = lake.tableOf(tableId)
@@ -183,7 +184,7 @@ object D3L {
       val t = ts(ti)
       Evidence.indexed.indices.foreach { e =>
         val base = e * nAttrs
-        lake.bucketsOf(from, t, e).foreach { b =>
+        t.buckets(e).foreach { b =>
           val post = lake.probe(b)
           var i = 0
           while (i < post.length) {

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import org.apache.spark.SparkException
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.lake.LakeTable
@@ -125,7 +126,7 @@ object FeatureExtraction {
   /** Build the index of a lake in two Spark jobs. The long lake is
     * regrouped by `table_id` once, into `defaultParallelism` partitions,
     * which rejects a column with two names or with two cells in one row
-    * (the failing task's message names the table, column and row), and
+    * with an `IllegalArgumentException` naming the table, column and row, and
     * both consumers read that one shuffle's output: embedding training
     * ([[trainEmbeddings]], whose model is collected to the driver and
     * broadcast to the kernel) and the kernel, which runs once per table and
@@ -158,14 +159,20 @@ object FeatureExtraction {
     // ---- 𝔼: random-indexing embeddings (DESIGN.md §4.1) --------------------
     val embeddings = reuseEmbeddings match {
       case Some(model) => model.select("token", "vec").as[(String, Array[Float])].collect().toMap
-      case None => trainEmbeddings(tables.flatMap { case (_, cols) => trainingTokens(cols, cfg) })
+      case None => rejectingMalformed(trainEmbeddings(tables.flatMap { case (_, cols) => trainingTokens(cols, cfg) }))
     }
     val shipped = spark.sparkContext.broadcast(embeddings)
-    val features = tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }
-      .collect().sortBy(_.tableId).toSeq
+    val features = rejectingMalformed(tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }
+      .collect()).sortBy(_.tableId).toSeq
     shipped.destroy()
     new LakeIndexes(spark, features, embeddings)
   }
+
+  /** A Spark `action` over the regrouped lake, rethrowing a task's
+    * `IllegalArgumentException` (a malformed lake) as raised, unwrapped.
+    */
+  private def rejectingMalformed[T](action: => T): T =
+    try action catch { case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] => throw e.getCause }
 
   /** Random-indexing training over the words of each value: a token's
     * embedding is the sum over all of its co-occurrences among the first 12

@@ -13,26 +13,26 @@ object Evidence {
   val all: Seq[String] = Seq(N, V, F, E, D)
 }
 
-/** Tunables, defaulted to the paper's §V configuration (τ=0.7, MinHash size
-  * 256 via `lsh.MinHash`, q=4 via `text.Tokenizer`).
+/** The Eq. 3 evidence weights, the one setting of the pipeline, and its
+  * constants, the paper's §V configuration (τ=0.7, MinHash size 256 via
+  * `lsh.MinHash`, q=4 via `text.Tokenizer`).
   */
 final case class D3LConfig(
-    /** LSH similarity threshold τ. */
-    tau: Double = 0.7,
-    /** Numeric-attribute detection: fraction of non-null values parsing as numbers. */
-    numericFrac: Double = 0.8,
-    /** Max numeric-extent sample retained for KS. */
-    maxNumericSample: Int = 512,
-    /** Algorithm 3 DFS depth cap (paths longer than this add ~no coverage). */
-    maxPathLen: Int = 4,
-    /** SA-joinability: minimum estimated overlap coefficient (§IV) between
-      * the tsets of the joining attributes.
-      */
-    minJoinOverlap: Double = 0.25,
     /** Eq. 3 evidence weights (N, V, F, E, D order); uniform until trained. */
     evidenceWeights: Map[String, Double] =
       Evidence.all.map(_ -> 1.0).toMap,
 ) {
+  /** LSH similarity threshold τ. */
+  val tau: Double = 0.7
+  /** Numeric-attribute detection: fraction of non-null values parsing as numbers. */
+  val numericFrac: Double = 0.8
+  /** Max numeric-extent sample retained for KS. */
+  val maxNumericSample: Int = 512
+  /** Algorithm 3 DFS depth cap (paths longer than this add ~no coverage). */
+  val maxPathLen: Int = 4
+  /** SA-joinability: minimum estimated overlap coefficient (§IV) of the joining attributes' tsets. */
+  val minJoinOverlap: Double = 0.25
+
   require(evidenceWeights.keySet == Evidence.all.toSet,
     s"evidenceWeights must have exactly the keys ${Evidence.all.mkString(", ")}, " +
       s"got ${evidenceWeights.keys.toSeq.sorted.mkString(", ")}")

@@ -4,14 +4,15 @@ import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.lsh.{Banding, RandomProjection}
 
-/** One attribute as the serving index holds it. Evidence ordinals index
+/** One attribute as the serving index holds it, or a query target resolved
+  * against it ([[ServingIndex.targets]]). Evidence ordinals index
   * [[Evidence.all]] (ℕ, 𝕍, 𝔽, 𝔼 are 0–3).
   */
 final case class ServedAttr(
-    /** Dense id: the attribute's position in its index's `attrs`. */
+    /** Dense id: the attribute's position in its index's `attrs` (or targets). */
     id: Int,
     tableId: String,
-    /** Dense id of `tableId` in its index's `tableIds`. */
+    /** Dense id of `tableId` in its index's `tableIds` (or targets' tables). */
     table: Int,
     colIdx: Int,
     tsetSize: Long,
@@ -21,7 +22,7 @@ final case class ServedAttr(
       * 𝔼 signature is held [[RandomProjection.pack]]ed into 4 `Long`s.
       */
     sigs: Array[Array[Long]],
-    /** Bucket ids (of the index holding the attribute) per indexed evidence
+    /** Ids of the lake's buckets holding the attribute, per indexed evidence
       * ordinal, in banding order.
       */
     buckets: Array[Array[Int]],
@@ -49,9 +50,6 @@ final class ServingIndex private (
     val tableIds: IndexedSeq[String],
     /** Per slot: bucket hash → bucket id. */
     bucketIds: Array[mutable.LongMap[Int]],
-    /** Bucket id → its slot and its hash. */
-    private val slots: Array[Int],
-    private val hashes: Array[Long],
     /** Bucket id → ids of the attributes in it, ascending. */
     postings: Array[Array[Int]],
 ) {
@@ -68,20 +66,6 @@ final class ServingIndex private (
   /** Ids of the attributes sharing bucket `b`. */
   def probe(b: Int): Array[Int] = postings(b)
 
-  /** `a`'s evidence-`e` buckets as bucket ids of this index, where `a` is an
-    * attribute of `from`; buckets this index does not hold are dropped.
-    */
-  def bucketsOf(from: ServingIndex, a: ServedAttr, e: Int): Array[Int] =
-    if (from eq this) a.buckets(e)
-    else {
-      val out = new mutable.ArrayBuilder.ofInt
-      a.buckets(e).foreach { b =>
-        val id = bucketIds(from.slots(b)).getOrElse(from.hashes(b), -1)
-        if (id >= 0) out.addOne(id) // addOne: `+=` would box the id
-      }
-      out.result()
-    }
-
   /** Dense id of table `tableId`, or -1 when the index does not hold it. */
   def tableOf(tableId: String): Int = tableIndex.getOrElse(tableId, -1)
 
@@ -97,6 +81,13 @@ final class ServingIndex private (
     require(missing.isEmpty, s"tables not in the index: ${missing.mkString(", ")}")
     ids.flatMap(id => byTable(tableIndex(id))).toIndexedSeq
   }
+
+  /** Extracted tables (lake members or not) as the target side of a query:
+    * each signature is banded and each band hash resolved to the bucket of
+    * this index that holds it; hashes no lake attribute has are dropped.
+    */
+  def targets(tables: Seq[TableFeatures]): IndexedSeq[ServedAttr] =
+    ServingIndex.assemble(tables)((slot, hash) => bucketIds(slot).getOrElse(hash, -1))
 }
 
 object ServingIndex {
@@ -111,39 +102,41 @@ object ServingIndex {
     */
   private val slotBase: Array[Int] = levels.scanLeft(0)(_ + _.map(_.bands).sum).toArray
 
-  /** Serving form of extracted tables, lake or query target alike: every
-    * signature is banded here, under its evidence type's levels.
+  /** Serving form of the lake's extracted tables: every signature is banded
+    * here, under its evidence type's levels, and every new band hash gets
+    * the next bucket id.
     */
   def of(tables: Seq[TableFeatures]): ServingIndex = {
+    val bucketIds = Array.fill(slotBase.last)(mutable.LongMap.empty[Int])
+    var nBuckets = 0
+    val attrs = assemble(tables)((slot, hash) => bucketIds(slot).getOrElseUpdate(hash, { nBuckets += 1; nBuckets - 1 }))
+    val postings = Array.fill(nBuckets)(new mutable.ArrayBuilder.ofInt)
+    attrs.foreach(a => a.buckets.foreach(_.foreach(b => postings(b).addOne(a.id)))) // addOne: `+=` would box the id
+    new ServingIndex(attrs, tables.map(_.tableId).toIndexedSeq, bucketIds, postings.map(_.result()))
+  }
+
+  /** The attributes of `tables` in order, with dense ids from 0. Each
+    * signature's band hashes go through `bucket(slot, hash)`, which gives
+    * their bucket id or -1 to drop the hash.
+    */
+  private def assemble(tables: Seq[TableFeatures])(bucket: (Int, Long) => Int): IndexedSeq[ServedAttr] = {
     val nIndexed = Evidence.indexed.size
-    val bucketIds = Array.fill(slotBase(nIndexed))(mutable.LongMap.empty[Int])
-    val slots = new mutable.ArrayBuilder.ofInt
-    val hashes = new mutable.ArrayBuilder.ofLong
-    val postings = mutable.ArrayBuffer.empty[mutable.ArrayBuilder.ofInt]
     val attrs = mutable.ArrayBuffer.empty[ServedAttr]
     tables.zipWithIndex.foreach { case (t, ti) =>
       val sigs = t.signatures.groupBy(_.attr)
       val samples = t.samples.map(s => s.attr -> s.sample).toMap
       t.profiles.foreach { p =>
-        val id = attrs.size
         val bySig = Array.fill(nIndexed)(Array.emptyLongArray)
         sigs.getOrElse(p.attr, Nil).foreach(s => bySig(Evidence.all.indexOf(s.evidence)) = s.sig)
         val buckets = Array.tabulate(nIndexed) { e =>
           val hs = Banding.hashes(bySig(e), levels(e))
-          Array.tabulate(hs.length) { i =>
-            val slot = slotBase(e) + i
-            val b = bucketIds(slot).getOrElseUpdate(hs(i),
-              { slots.addOne(slot); hashes.addOne(hs(i)); postings += new mutable.ArrayBuilder.ofInt; postings.size - 1 })
-            postings(b).addOne(id)
-            b
-          }
+          Array.tabulate(hs.length)(i => bucket(slotBase(e) + i, hs(i))).filter(_ >= 0)
         }
         if (bySig(EvE).nonEmpty) bySig(EvE) = RandomProjection.pack(bySig(EvE))
-        attrs += ServedAttr(id, p.tableId, ti, p.colIdx, p.tsetSize, t.subject.contains(p.colIdx),
+        attrs += ServedAttr(attrs.size, p.tableId, ti, p.colIdx, p.tsetSize, t.subject.contains(p.colIdx),
           bySig, buckets, samples.get(p.attr))
       }
     }
-    new ServingIndex(ArraySeq.from(attrs), tables.map(_.tableId).toIndexedSeq, bucketIds, slots.result(),
-      hashes.result(), postings.iterator.map(_.result()).toArray)
+    ArraySeq.from(attrs)
   }
 }

@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import repro.{PropSupport, SparkSpec}
 import repro.lake.{Generators, Lake, LakeColumn, LakeDf, LakeTable}
+import repro.lsh.RandomProjection
 
 /** A D³L answer does not depend on its route. The served query pipeline
   * (`D3L.queryAll`, plain Scala on the driver) returns what the Spark-SQL
@@ -107,6 +108,67 @@ class D3LEquivalenceSpec extends SparkSpec with PropSupport {
         assert(got.map(r => (r.tTable, r.sTable, r.score)).toSet == res.ranked.map(r => (r.tTable, r.sTable, r.score)).toSet)
       }
     }
+
+  // ---- query targets resolved against the lake's buckets ---------------------
+
+  /** The lake's buckets from its features alone: (evidence, band id, bucket
+    * hash) → ids of the lake attributes in it, ascending.
+    */
+  private def lakeBuckets(idx: LakeIndexes): Map[(String, Int, Long), Seq[Int]] = {
+    val id = idx.serving.attrs.map(a => FeatureExtraction.attrId(a.tableId, a.colIdx) -> a.id).toMap
+    idx.features.flatMap(_.signatures)
+      .flatMap(s => FeatureExtraction.bucketsOf(s.evidence, s.sig).map { case (b, h) => (s.evidence, b, h) -> id(s.attr) })
+      .groupBy(_._1).map { case (k, vs) => k -> vs.map(_._2).sorted }
+  }
+
+  /** Checks `targets`, resolved from `features`, against the lake: every
+    * signature as extracted, and per evidence type exactly the buckets the
+    * lake holds, in banding order. Returns the band hashes dropped.
+    */
+  private def checkResolved(idx: LakeIndexes, features: TableFeatures, targets: Seq[ServedAttr]): Int = {
+    val held = lakeBuckets(idx)
+    val sigs = features.signatures.map(s => (s.colIdx, s.evidence) -> s.sig).toMap
+    assert(targets.map(t => (t.tableId, t.colIdx)) == features.profiles.map(p => (p.tableId, p.colIdx)))
+    targets.map { t =>
+      Evidence.indexed.zipWithIndex.map { case (ev, e) =>
+        val sig = sigs.getOrElse((t.colIdx, ev), Array.emptyLongArray)
+        val keys = FeatureExtraction.bucketsOf(ev, sig)
+        val want = keys.flatMap { case (b, h) => held.get((ev, b, h)) }
+        assert(t.buckets(e).map(b => idx.serving.probe(b).toSeq).toSeq == want, s"${t.tableId}#${t.colIdx} $ev buckets")
+        assert((if (ev == Evidence.E && sig.nonEmpty) RandomProjection.pack(sig) else sig).sameElements(t.sigs(e)),
+          s"${t.tableId}#${t.colIdx} $ev signature")
+        keys.size - want.size
+      }.sum
+    }.sum
+  }
+
+  private def servedView(a: ServedAttr) =
+    (a.tableId, a.colIdx, a.tsetSize, a.subject, a.sigs.map(_.toSeq).toSeq, a.buckets.map(_.toSeq).toSeq,
+      a.sample.map(_.toSeq))
+
+  for (lakeName <- Seq("Synthetic", "Smaller Real"))
+    test(s"a lake member resolved as a query target is the lake's own attributes, on $lakeName") {
+      val (_, idx) = lakes(lakeName)
+      idx.features.foreach { f =>
+        val resolved = idx.serving.targets(Seq(f))
+        assert(resolved.map(_.id) == resolved.indices, s"${f.tableId}: target ids")
+        assert(resolved.map(servedView) == idx.serving.tables(Seq(f.tableId)).map(servedView), f.tableId)
+        assert(checkResolved(idx, f, resolved) == 0, s"${f.tableId}: a member's bucket was dropped")
+      }
+    }
+
+  test("buckets the lake does not hold are dropped from a target, which still gets an answer") {
+    val (lake, idx) = lakes("Smaller Real")
+    val t = lake.tables.head
+    val novel = LakeColumn("zqx unseen heading", (1 to t.numRows).map(i => s"qqxv-$i zzkw"), "generated", isSubject = false)
+    val target = t.copy(id = s"novel-${t.id}", columns = t.columns :+ novel)
+    val features = FeatureExtraction.extractTable(target, D3LConfig(), idx.embeddings.get)
+    val resolved = idx.serving.targets(Seq(features))
+    assert(checkResolved(idx, features, resolved) > 0, "no band hash of the target was dropped")
+    val res = D3L.queryTable(spark, idx, target)
+    assert(res.ranked.map(_.sTable).contains(t.id), s"${t.id} missing from the answer")
+    assert(res.aligned.exists(a => a.sTable == t.id && a.tCol == a.sCol))
+  }
 
   // ---- generated lakes -------------------------------------------------------
 

@@ -282,7 +282,7 @@ class D3LSpec extends SparkSpec {
       renamed -> Seq(s"table '${t.id}' column 1 has two names", "'other'"),
       duplicated -> Seq(s"table '${t.id}' column 1 has two cells in row 2"),
     ).foreach { case (bad, words) =>
-      val e = intercept[Exception](D3L.index(spark, bad))
+      val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
       words.foreach(w => assert(e.getMessage.contains(w), e.getMessage))
     }
   }
