@@ -38,7 +38,6 @@ object Aurum {
       edges: DataFrame,              // a_attr,a_table,a_col,b_attr,b_table,b_col,sim
       adjacency: Map[String, Seq[Edge]], // table_id → incident edges (driver copy)
       pkfkTableEdges: Map[String, Set[String]], // join graph for Aurum+J
-      edgeThreshold: Double,
   )
 
   final case class AurumResult(ranking: DataFrame, alignments: DataFrame)
@@ -51,12 +50,14 @@ object Aurum {
     }
   })
 
-  /** Profile the lake and build the EKG. `edgeThreshold` keeps edges whose
-    * best similarity estimate reaches it (0.5 — the strict τ=0.7 of the LSH
-    * layer applies to bucket collision, not edge retention).
+  /** The EKG keeps an edge when its best similarity estimate reaches this;
+    * the strict τ=0.7 of the LSH layer applies to bucket collision, not edge
+    * retention.
     */
-  def index(spark: SparkSession, lakeLong: DataFrame,
-            edgeThreshold: Double = 0.5): AurumIndexes = {
+  val EdgeThreshold = 0.5
+
+  /** Profile the lake and build the EKG. */
+  def index(spark: SparkSession, lakeLong: DataFrame): AurumIndexes = {
     import spark.implicits._
     val lake = lakeLong
       .withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
@@ -164,7 +165,7 @@ object Aurum {
     // Column indexes come from the catalog: table ids may contain '#'.
     val cols = catalog.select($"attr", $"col_idx")
     val edges = allEdges
-      .filter($"sim" >= edgeThreshold)
+      .filter($"sim" >= EdgeThreshold)
       .join(cols.select($"attr" as "a_attr", $"col_idx" as "a_col"), "a_attr")
       .join(cols.select($"attr" as "b_attr", $"col_idx" as "b_col"), "b_attr")
       .select("a_attr", "a_table", "a_col", "b_attr", "b_table", "b_col", "sim")
@@ -193,7 +194,7 @@ object Aurum {
     pkfk.foreach { case (x, y) => pkfkAdj(x) += y; pkfkAdj(y) += x }
 
     lake.unpersist(); toks.unpersist(); attrTokens.unpersist(); allEdges.unpersist()
-    AurumIndexes(catalog, signatures, buckets, edges, adjacency, pkfkAdj.toMap, edgeThreshold)
+    AurumIndexes(catalog, signatures, buckets, edges, adjacency, pkfkAdj.toMap)
   }
 
   /** Query the EKG for each target (lake member): every edge incident to a

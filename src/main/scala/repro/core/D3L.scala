@@ -75,9 +75,14 @@ object D3L {
     if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosinePacked(a, b)))
     else 1.0 - MinHash.estimateJaccard(a, b)
 
-  /** Build the lake's index on Spark into its driver-resident form. */
-  def index(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig()): LakeIndexes =
-    FeatureExtraction.extract(spark, lakeLong, cfg)
+  /** Build the lake's index on Spark into its driver-resident form, its
+    * [[ServingIndex]] included.
+    */
+  def index(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig()): LakeIndexes = {
+    val idx = FeatureExtraction.extract(spark, lakeLong, cfg)
+    idx.serving
+    idx
+  }
 
   /** Batched query: each of `targetIds` (lake members) against the whole
     * lake, reusing their stored signatures; self-matches excluded.

@@ -6,7 +6,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.lake.LakeTable
 import repro.text.{Embeddings, FormatRegex, Tokenizer}
-import repro.lsh.{Banding, MinHash, RandomProjection}
+import repro.lsh.{MinHash, RandomProjection}
 
 /** Algorithm 1 (index construction).
   *
@@ -16,7 +16,9 @@ import repro.lsh.{Banding, MinHash, RandomProjection}
   * (𝔽), the mean embedding of every part's most frequent word (𝔼), and a
   * sorted numeric sample (𝔻). ℕ/𝕍/𝔽 become MinHash signatures, 𝔼 a
   * random-projection signature; banding the signatures yields the buckets
-  * that *are* the four LSH indexes.
+  * that *are* the four LSH indexes. It emits one record per attribute
+  * ([[AttrFeatures]]: catalog statistics, signatures by evidence ordinal,
+  * 𝔻 sample).
   *
   * [[extract]] applies the kernel to every table of a long-format lake
   * (`table_id, col_idx, col_name, row_idx, value`) on Spark and collects its
@@ -24,7 +26,7 @@ import repro.lsh.{Banding, MinHash, RandomProjection}
   * aggregation is embedding training ([[trainEmbeddings]]), one shuffle of
   * per-partition token sums by token; the trained model is collected to the
   * driver once and kept there as [[LakeIndexes.embeddings]]. The serving
-  * index bands the features on the driver ([[levelsOf]]), and the
+  * index bands the records on the driver ([[ServingIndex.levels]]), and the
   * [[LakeIndexes]] frames are local views of them. A query target is
   * extracted on the driver by calling the kernel directly.
   */
@@ -40,13 +42,6 @@ object FeatureExtraction {
     * remains (`length(trim(value)) > 0` in Spark SQL).
     */
   private def nonEmpty(v: String): Boolean = v != null && v.exists(_ != ' ')
-
-  /** Banding levels of an evidence type's index. */
-  def levelsOf(evidence: String): Seq[Banding.Level] =
-    if (evidence == Evidence.E) Banding.simhashLevels else Banding.minhashLevels
-
-  /** LSH buckets of one signature under its evidence type's levels. */
-  def bucketsOf(evidence: String, sig: Array[Long]): Seq[(Int, Long)] = Banding.buckets(sig, levelsOf(evidence))
 
   /** The non-empty values of a column: each distinct one once, in
     * first-seen order, with its number of occurrences, and the
@@ -74,14 +69,11 @@ object FeatureExtraction {
     */
   def extractTable(tableId: String, columns: Seq[ColumnValues], cfg: D3LConfig,
                    embedding: String => Option[Array[Float]]): TableFeatures = {
-    val cols = columns.filter(_.values.nonEmpty).sortBy(_.colIdx)
-    val sigs = Seq.newBuilder[AttrSignature]
-    val samples = Seq.newBuilder[AttrSample]
-    val profiles = cols.map { c =>
-      val attr = attrId(tableId, c.colIdx)
+    val attrs = columns.filter(_.values.nonEmpty).sortBy(_.colIdx).map { c =>
       val x = new Extent(c.values, cfg)
       val n = x.n
-      def sig(ev: String, s: Array[Long]): Unit = sigs += AttrSignature(attr, c.colIdx, ev, s)
+      val sigs = Array.fill(Evidence.indexed.size)(Array.emptyLongArray)
+      def sig(ev: String, s: Array[Long]): Unit = sigs(Evidence.all.indexOf(ev)) = s
 
       sig(Evidence.N, MinHash.signature(Tokenizer.qgrams(c.name)))
       if (n > 0) sig(Evidence.F, MinHash.signature(x.counts.keysIterator.map(FormatRegex.formatString).toSet))
@@ -97,23 +89,23 @@ object FeatureExtraction {
       val vecs = parts.map(_._1.minBy(w => (-freq(w), w))).distinct.flatMap(embedding)
       if (vecs.nonEmpty) sig(Evidence.E, RandomProjection.signature(Embeddings.mean(vecs)))
 
-      if (x.numeric) {
+      val sample = Option.when(x.numeric) {
         val all = x.counts.iterator.flatMap { case (v, k) => Tokenizer.parseNumeric(v).iterator.flatMap(Iterator.fill(k)(_)) }.toArray
         java.util.Arrays.sort(all)
         val max = cfg.maxNumericSample
-        samples += AttrSample(attr, c.colIdx,
-          if (all.length <= max) all else Array.tabulate(max)(i => all((i.toLong * all.length / max).toInt)))
+        if (all.length <= max) all else Array.tabulate(max)(i => all((i.toLong * all.length / max).toInt))
       }
 
-      AttrProfile(
-        attr = attr, tableId = tableId, colIdx = c.colIdx, colName = c.name,
+      AttrFeatures(
+        colIdx = c.colIdx, colName = c.name,
         nValues = n, nDistinct = x.counts.size,
         nullFrac = (c.values.size - n).toDouble / c.values.size,
         avgLen = if (n == 0) None
           else Some(x.counts.iterator.map { case (v, k) => k * v.codePointCount(0, v.length).toLong }.sum.toDouble / n),
-        numericFrac = x.numericFrac, isNumeric = x.numeric, tsetSize = tset.size)
+        numericFrac = x.numericFrac, isNumeric = x.numeric, tsetSize = tset.size,
+        sigs = sigs, sample = sample)
     }
-    TableFeatures(tableId, profiles, sigs.result(), samples.result(), SubjectAttribute.predict(profiles))
+    TableFeatures(tableId, attrs, SubjectAttribute.predict(attrs))
   }
 
   /** Embedding-training input of one table: the words of every non-empty
@@ -124,9 +116,7 @@ object FeatureExtraction {
       .flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
 
   /** Build the index of a lake in two Spark jobs. The long lake is
-    * regrouped by `table_id` once, into `defaultParallelism` partitions,
-    * which rejects a column with two names or with two cells in one row
-    * with an `IllegalArgumentException` naming the table, column and row, and
+    * regrouped by `table_id` once, into `defaultParallelism` partitions, and
     * both consumers read that one shuffle's output: embedding training
     * ([[trainEmbeddings]], whose model is collected to the driver and
     * broadcast to the kernel) and the kernel, which runs once per table and
@@ -134,6 +124,14 @@ object FeatureExtraction {
     * that dense ids do not depend on the partitioning. Nothing stays
     * persisted in Spark. When `reuseEmbeddings` is given (a query target),
     * that model is collected instead of retraining on the (tiny) input.
+    *
+    * The regroup rejects a malformed lake with an `IllegalArgumentException`
+    * naming the table, column and row: a null or empty `table_id`, a
+    * negative `col_idx`, a column with two names and a column with two cells
+    * in one row. `row_idx` only orders a column's values, so any `Long`,
+    * negative ones included, is accepted. A `col_name` with no letter or
+    * digit has no q-grams: its ℕ signature is the empty-set sentinel, which
+    * falls in no bucket, so the attribute is found by its values alone.
     */
   def extract(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig(),
               reuseEmbeddings: Option[DataFrame] = None): LakeIndexes = {
@@ -143,7 +141,12 @@ object FeatureExtraction {
       .select($"table_id", $"col_idx", $"col_name", $"row_idx", $"value")
       .as[(String, Int, String, Long, String)]
       .rdd
-      .map { case (id, ci, name, row, v) => (id, (ci, name, row, v)) }
+      .map { case (id, ci, name, row, v) =>
+        require(id != null && id.nonEmpty,
+          s"malformed lake: ${if (id == null) "null" else "empty"} table id at column $ci ('$name'), row $row")
+        require(ci >= 0, s"malformed lake: table '$id' has a negative column index $ci ('$name') in row $row")
+        (id, (ci, name, row, v))
+      }
       .groupByKey(spark.sparkContext.defaultParallelism)
       .map { case (id, rows) =>
         id -> rows.toSeq.groupBy(_._1).toSeq.map { case (ci, rs) =>

@@ -14,7 +14,8 @@ import repro.lsh.MinHash
   *
   * Algorithm 3 then enumerates, per top-k table S_i, all acyclic paths whose
   * non-start nodes are outside the top-k and have index evidence of
-  * relatedness to the target.
+  * relatedness to the target; [[JoinPaths.reachable]] computes the tables
+  * those paths reach.
   */
 object JoinPaths {
 
@@ -54,37 +55,19 @@ object JoinPaths {
       .map(t => lake.tableIds(t) -> adj(t).iterator.map(lake.tableIds).toSet).toMap)
   }
 
-  /** Algorithm 3, called for one start table S_i ∈ S^k: all simple paths of
-    * length ≥ 2 whose non-start nodes are outside `topK`, acyclic, and in
-    * `relatedToTarget` (≥1 index relates them to T). Returns paths as node
-    * lists starting at `start`.
-    */
-  def findJoinPaths(graph: SaJoinGraph, topK: Set[String], relatedToTarget: Set[String],
-                    start: String, maxLen: Int = 4): Set[List[String]] = {
-    val out = scala.collection.mutable.Set.empty[List[String]]
-    def dfs(node: String, path: List[String]): Unit = {
-      val newPath = path :+ node
-      if (newPath.size > 1) out += newPath
-      if (newPath.size >= maxLen) return
-      graph.adjacent(node).toSeq.sorted.foreach { n =>
-        if (!topK.contains(n) && !newPath.contains(n) && relatedToTarget.contains(n))
-          dfs(n, newPath)
-      }
-    }
-    dfs(start, Nil)
-    out.toSet
-  }
-
-  /** All tables reachable from `start` through valid join paths (the tables
-    * whose attributes the join result can contribute), excluding `start`.
+  /** Algorithm 3, called for one start table S_i ∈ S^k, reduced to the
+    * tables its join paths reach (the tables whose attributes the join
+    * result can contribute), excluding `start`. A join path is a simple path
+    * of at most `maxLen` nodes whose non-start nodes are outside `topK` and
+    * pass `relatedToTarget` (≥1 index relates them to T).
     *
     * Computed by guarded BFS rather than by materialising Algorithm 3's path
     * set: every BFS tree path is a valid simple path under the same node
     * constraints, so the reachable set is identical, but the cost is
     * O(V+E) — enumerating all simple paths in the dense cliques that
-    * same-base derived tables form is combinatorial and only needed when a
-    * caller wants the concrete join plans (findJoinPaths). Without a
-    * relatedness guard (`_ => true`) this is Aurum+J's PK/FK traversal.
+    * same-base derived tables form is combinatorial, and no caller needs the
+    * concrete join plans. Without a relatedness guard (`_ => true`) this is
+    * Aurum+J's PK/FK traversal.
     */
   def reachable(graph: SaJoinGraph, topK: Set[String], relatedToTarget: String => Boolean,
                 start: String, maxLen: Int = 4): Set[String] = {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.lsh.Banding
 
 /** Shared identifiers and configuration for the D³L pipeline. */
 object Evidence {
@@ -41,10 +42,11 @@ final case class D3LConfig(
   require(evidenceWeights.values.sum > 0, s"evidence weights must have a positive sum, got $evidenceWeights")
 }
 
-/** Catalog entry of one attribute (one row of `LakeIndexes.catalog`). */
-final case class AttrProfile(
-    attr: String,
-    tableId: String,
+/** Algorithm 1's output for one attribute: its catalog statistics (one row
+  * of `LakeIndexes.catalog`), its signatures and its 𝔻 sample. Its id is
+  * `FeatureExtraction.attrId(tableId, colIdx)` of its table.
+  */
+final case class AttrFeatures(
     colIdx: Int,
     colName: String,
     nValues: Long,
@@ -56,37 +58,34 @@ final case class AttrProfile(
     isNumeric: Boolean,
     /** |T(a)|: distinct informative (𝕍) tokens; 0 for numeric attributes. */
     tsetSize: Long,
+    /** Signature per indexed evidence ordinal of [[Evidence.all]] (ℕ, 𝕍, 𝔽,
+      * 𝔼), as [[ServedAttr.sigs]] indexes them; empty when the attribute has
+      * none. 𝔼 is held in its 0/1 form.
+      */
+    sigs: Array[Array[Long]],
+    /** Sorted numeric sample (𝔻); None for non-numeric attributes. */
+    sample: Option[Array[Double]],
 )
 
-/** One signature of one attribute. */
-final case class AttrSignature(attr: String, colIdx: Int, evidence: String, sig: Array[Long])
-
-/** Sorted numeric sample (𝔻) of one numeric attribute. */
-final case class AttrSample(attr: String, colIdx: Int, sample: Array[Double])
-
-/** Everything Algorithm 1 derives from one table: per-attribute profiles,
-  * ℕ/𝕍/𝔽/𝔼 signatures, sorted 𝔻 samples and the column index of the
-  * predicted subject attribute.
+/** Everything Algorithm 1 derives from one table: one record per attribute,
+  * in column order, and the column index of the predicted subject attribute.
   */
-final case class TableFeatures(
-    tableId: String,
-    profiles: Seq[AttrProfile],
-    signatures: Seq[AttrSignature],
-    samples: Seq[AttrSample],
-    subject: Option[Int],
-)
+final case class TableFeatures(tableId: String, attrs: Seq[AttrFeatures], subject: Option[Int])
 
 /** The lake's D³L index, held on the driver: Algorithm 1's output per
   * table ([[features]], built on Spark by [[FeatureExtraction.extract]] and
   * collected once, sorted by table id), the lake-trained token embeddings
   * ([[embeddings]], the lake's one copy of its model) and [[serving]], the
-  * features banded into the probe structure that answers queries. Unseen
-  * query targets are embedded with [[embeddings]]. After the build no Spark
-  * state remains: nothing is persisted or broadcast.
+  * features banded into the probe structure that answers queries, built on
+  * its first use. Unseen query targets are embedded with [[embeddings]].
+  * After the build no Spark state remains: nothing is persisted or
+  * broadcast.
   *
-  * The frames below are lazy local views of `features` (`tokenEmbeddings`
-  * of [[embeddings]]), for inspection, space accounting (Exp. 7) and tests;
-  * neither the build nor the query path reads them.
+  * The frames below are lazy local views of the per-attribute records of
+  * `features` (`tokenEmbeddings` of [[embeddings]]), for inspection, space
+  * accounting (Exp. 7) and tests; neither the build nor the query path
+  * reads them. `signatures` and `buckets` list each attribute's evidence in
+  * the order Algorithm 1 derives it: ℕ, 𝔽, 𝕍, 𝔼.
   *
   *  - catalog:          attr, table_id, col_idx, col_name, n_values,
   *                      n_distinct, null_frac, avg_len, numeric_frac,
@@ -109,18 +108,35 @@ final class LakeIndexes private[core] (
 ) {
   import spark.implicits._
 
-  lazy val catalog: DataFrame = features.flatMap(_.profiles)
+  /** Evidence ordinals in the order Algorithm 1 derives an attribute's
+    * signatures, ℕ, 𝔽, 𝕍, 𝔼, which is the order the frames list them in.
+    */
+  private val kernelOrder = Seq(Evidence.N, Evidence.F, Evidence.V, Evidence.E).map(Evidence.all.indexOf)
+
+  /** Every attribute as (table id, attribute id, record), in table-id and
+    * column order.
+    */
+  private def attrs: Seq[(String, String, AttrFeatures)] =
+    features.flatMap(f => f.attrs.map(a => (f.tableId, FeatureExtraction.attrId(f.tableId, a.colIdx), a)))
+
+  /** Every signature as (table id, attribute id, record, evidence ordinal). */
+  private def signed: Seq[(String, String, AttrFeatures, Int)] =
+    for ((t, id, a) <- attrs; e <- kernelOrder if a.sigs(e).nonEmpty) yield (t, id, a, e)
+
+  lazy val catalog: DataFrame = attrs
+    .map { case (t, id, a) => (id, t, a.colIdx, a.colName, a.nValues, a.nDistinct, a.nullFrac, a.avgLen,
+      a.numericFrac, a.isNumeric, a.tsetSize) }
     .toDF("attr", "table_id", "col_idx", "col_name", "n_values", "n_distinct", "null_frac",
       "avg_len", "numeric_frac", "is_numeric", "tset_size")
-  lazy val signatures: DataFrame = features
-    .flatMap(f => f.signatures.map(s => (s.attr, s.evidence, s.sig, f.tableId, s.colIdx)))
+  lazy val signatures: DataFrame = signed
+    .map { case (t, id, a, e) => (id, Evidence.all(e), a.sigs(e), t, a.colIdx) }
     .toDF("attr", "evidence", "sig", "table_id", "col_idx")
-  lazy val buckets: DataFrame = features
-    .flatMap(f => f.signatures.flatMap(s => FeatureExtraction.bucketsOf(s.evidence, s.sig)
-      .map { case (band, bucket) => (s.evidence, band, bucket, s.attr, f.tableId) }))
+  lazy val buckets: DataFrame = signed
+    .flatMap { case (t, id, a, e) => Banding.buckets(a.sigs(e), ServingIndex.levels(e))
+      .map { case (band, bucket) => (Evidence.all(e), band, bucket, id, t) } }
     .toDF("evidence", "band", "bucket", "attr", "table_id")
-  lazy val numericProfiles: DataFrame = features
-    .flatMap(f => f.samples.map(s => (s.attr, s.sample, f.tableId, s.colIdx)))
+  lazy val numericProfiles: DataFrame = attrs
+    .flatMap { case (t, id, a) => a.sample.map(s => (id, s, t, a.colIdx)) }
     .toDF("attr", "sample", "table_id", "col_idx")
   lazy val subjects: DataFrame = features
     .flatMap(f => f.subject.map(c => (f.tableId, c, FeatureExtraction.attrId(f.tableId, c))))
@@ -128,7 +144,7 @@ final class LakeIndexes private[core] (
   lazy val tokenEmbeddings: DataFrame = embeddings.toSeq.toDF("token", "vec")
 
   /** Driver-resident probe structure of the index. */
-  val serving: ServingIndex = ServingIndex.of(features)
+  lazy val serving: ServingIndex = ServingIndex.of(features)
 
   def cacheAll(): LakeIndexes = this
   def unpersistAll(): Unit = ()

@@ -32,11 +32,12 @@ final case class ServedAttr(
 
 /** Immutable, driver-resident probe structure of [[LakeIndexes]]: the
   * bucket map (evidence, band, bucket) → attributes, signatures, numeric
-  * samples and subject attributes. The per-table features are built on
-  * Spark and collected once; queries probe this structure in plain Scala
-  * and start no Spark job (DESIGN.md §2, "Build on Spark, serve from the
-  * driver"). The lake's embedding model is not part of it: a query target
-  * is embedded with [[LakeIndexes.embeddings]].
+  * samples and subject attributes. It is assembled from Algorithm 1's
+  * per-attribute records ([[AttrFeatures]]), which are built on Spark and
+  * collected once, banding each signature under [[ServingIndex.levels]].
+  * Queries probe it in plain Scala and start no Spark job (DESIGN.md §2,
+  * "Build on Spark, serve from the driver"). The lake's embedding model is
+  * not part of it: a query target is embedded with [[LakeIndexes.embeddings]].
   *
   * Attributes, tables and buckets carry dense `Int` ids, so the query path
   * dedupes and accumulates into arrays instead of hashing strings. A bucket
@@ -94,8 +95,11 @@ object ServingIndex {
 
   private val EvE = Evidence.indexed.indexOf(Evidence.E)
 
-  /** Banding levels per indexed evidence ordinal. */
-  private val levels: IndexedSeq[Seq[Banding.Level]] = Evidence.indexed.map(FeatureExtraction.levelsOf).toIndexedSeq
+  /** Banding levels per indexed evidence ordinal: the MinHash levels for
+    * ℕ/𝕍/𝔽, the simhash levels for 𝔼.
+    */
+  val levels: IndexedSeq[Seq[Banding.Level]] = Evidence.indexed
+    .map(e => if (e == Evidence.E) Banding.simhashLevels else Banding.minhashLevels).toIndexedSeq
 
   /** First slot of each indexed evidence ordinal: its bands take the slots
     * from there on, in banding order.
@@ -120,21 +124,16 @@ object ServingIndex {
     * their bucket id or -1 to drop the hash.
     */
   private def assemble(tables: Seq[TableFeatures])(bucket: (Int, Long) => Int): IndexedSeq[ServedAttr] = {
-    val nIndexed = Evidence.indexed.size
     val attrs = mutable.ArrayBuffer.empty[ServedAttr]
     tables.zipWithIndex.foreach { case (t, ti) =>
-      val sigs = t.signatures.groupBy(_.attr)
-      val samples = t.samples.map(s => s.attr -> s.sample).toMap
-      t.profiles.foreach { p =>
-        val bySig = Array.fill(nIndexed)(Array.emptyLongArray)
-        sigs.getOrElse(p.attr, Nil).foreach(s => bySig(Evidence.all.indexOf(s.evidence)) = s.sig)
-        val buckets = Array.tabulate(nIndexed) { e =>
-          val hs = Banding.hashes(bySig(e), levels(e))
+      t.attrs.foreach { a =>
+        val buckets = Array.tabulate(levels.size) { e =>
+          val hs = Banding.hashes(a.sigs(e), levels(e))
           Array.tabulate(hs.length)(i => bucket(slotBase(e) + i, hs(i))).filter(_ >= 0)
         }
-        if (bySig(EvE).nonEmpty) bySig(EvE) = RandomProjection.pack(bySig(EvE))
-        attrs += ServedAttr(attrs.size, p.tableId, ti, p.colIdx, p.tsetSize, t.subject.contains(p.colIdx),
-          bySig, buckets, samples.get(p.attr))
+        val sigs = a.sigs.updated(EvE, if (a.sigs(EvE).isEmpty) a.sigs(EvE) else RandomProjection.pack(a.sigs(EvE)))
+        attrs += ServedAttr(attrs.size, t.tableId, ti, a.colIdx, a.tsetSize, t.subject.contains(a.colIdx),
+          sigs, buckets, a.sample)
       }
     }
     ArraySeq.from(attrs)

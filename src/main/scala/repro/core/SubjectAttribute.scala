@@ -36,21 +36,21 @@ object SubjectAttribute {
     Array(-3.7150245268086275, -1.3811821801352617, -0.30974161767220676, -1.744312499301187, 3.5222620817855064),
     intercept = -1.5562089876265097)
 
-  /** Predicted subject attribute of one table from its catalog entries:
-    * the argmax model score among non-numeric columns (any column as
-    * fallback), ties to the leftmost. Returns its column index.
+  /** Predicted subject attribute of one table from its attributes' catalog
+    * statistics: the argmax model score among non-numeric columns (any
+    * column as fallback), ties to the leftmost. Returns its column index.
     */
-  def predict(profiles: Seq[AttrProfile]): Option[Int] = {
-    if (profiles.isEmpty) return None
-    val arity = profiles.map(_.colIdx).max + 1
-    def subjScore(p: AttrProfile): Double = {
+  def predict(attrs: Seq[AttrFeatures]): Option[Int] = {
+    if (attrs.isEmpty) return None
+    val arity = attrs.map(_.colIdx).max + 1
+    def subjScore(p: AttrFeatures): Double = {
       val dr = if (p.nValues > 0) p.nDistinct.toDouble / p.nValues else 0.0
       val s = defaultModel.score(features(p.colIdx, arity, p.nullFrac, dr, p.numericFrac,
         p.avgLen.filterNot(_.isNaN).getOrElse(0.0)))
       // Numeric columns are never subjects (the paper assumes non-numeric).
       if (p.isNumeric) s - 100.0 else s
     }
-    Some(profiles.map(p => (-subjScore(p), p.colIdx))
+    Some(attrs.map(p => (-subjScore(p), p.colIdx))
       .min(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Int))._2)
   }
 }

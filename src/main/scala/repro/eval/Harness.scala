@@ -68,12 +68,12 @@ object Harness {
       sampleTargets(lake, nTargets, seed), kbPath)
   }
 
-  /** Train the Eq. 3 weights on a (Synthetic) fixture with targets disjoint
-    * from the evaluation set, per §III-D.
+  /** Train the Eq. 3 weights on a (Synthetic) fixture with 20 targets
+    * (sampled with seed 77) disjoint from the evaluation set, per §III-D.
     */
-  def trainWeights(spark: SparkSession, f: Fixture, nTrain: Int = 20, seed: Long = 77)
-      : EvidenceWeights.Trained = {
-    val trainTargets = sampleTargets(f.lake, nTrain + f.targets.size, seed)
+  def trainWeights(spark: SparkSession, f: Fixture): EvidenceWeights.Trained = {
+    val nTrain = 20
+    val trainTargets = sampleTargets(f.lake, nTrain + f.targets.size, seed = 77)
       .filterNot(f.targets.contains).take(nTrain)
     EvidenceWeights.train(spark, f.d3l, f.lake, trainTargets, f.cfg)
   }

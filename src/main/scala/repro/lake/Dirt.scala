@@ -72,8 +72,6 @@ object Dirt {
       .replace("Drive", "Dr").replace("Lane", "Ln").replace("Place", "Pl")
   }
 
-  def compose(rs: Renderer*): Renderer = s => rs.foldLeft(s)((acc, r) => r(acc))
-
   /** Swap two adjacent characters of one word with probability `p` — cell-
     * level typos, applied after rendering (seeded, deterministic).
     */

@@ -69,12 +69,4 @@ object LakeDf {
     }.toSeq
     spark.createDataset(rows).toDF("table_id", "col_idx", "col_name", "row_idx", "value")
   }
-
-  /** Ground-truth related-table pairs as a DataFrame (for metric joins). */
-  def truthPairs(spark: SparkSession, truth: GroundTruth): DataFrame = {
-    import spark.implicits._
-    truth.relatedTables.toSeq
-      .flatMap { case (t, rs) => rs.map(r => (t, r)) }
-      .toDF("target_id", "related_id")
-  }
 }

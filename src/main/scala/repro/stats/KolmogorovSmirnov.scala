@@ -25,8 +25,4 @@ object KolmogorovSmirnov {
     }
     d
   }
-
-  /** KS over unsorted samples. */
-  def statistic(a: Iterable[Double], b: Iterable[Double]): Double =
-    statisticSorted(a.toArray.sorted, b.toArray.sorted)
 }

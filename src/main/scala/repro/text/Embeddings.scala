@@ -64,8 +64,4 @@ object Embeddings {
     while (i < a.length) { dot += a(i).toDouble * b(i); i += 1 }
     dot / (na * nb)
   }
-
-  /** Cosine *distance* in [0, 2] clipped to [0, 1] — the paper's D_𝔼. */
-  def cosineDistance(a: Array[Float], b: Array[Float]): Double =
-    math.min(1.0, math.max(0.0, 1.0 - cosine(a, b)))
 }

@@ -17,7 +17,7 @@ class AurumSpec extends SparkSpec {
   }
 
   test("edges respect the similarity threshold") {
-    val bad = idx.edges.filter(col("sim") < idx.edgeThreshold).count()
+    val bad = idx.edges.filter(col("sim") < Aurum.EdgeThreshold).count()
     assert(bad == 0)
   }
 

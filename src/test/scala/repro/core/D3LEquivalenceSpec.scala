@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import repro.{PropSupport, SparkSpec}
 import repro.lake.{Generators, Lake, LakeColumn, LakeDf, LakeTable}
-import repro.lsh.RandomProjection
+import repro.lsh.{Banding, RandomProjection}
 
 /** A D³L answer does not depend on its route. The served query pipeline
   * (`D3L.queryAll`, plain Scala on the driver) returns what the Spark-SQL
@@ -111,13 +111,26 @@ class D3LEquivalenceSpec extends SparkSpec with PropSupport {
 
   // ---- query targets resolved against the lake's buckets ---------------------
 
+  /** Banding levels of an evidence type's index, as DESIGN.md §4.3 sets them. */
+  private def levelsOf(evidence: String): Seq[Banding.Level] =
+    if (evidence == Evidence.E) Banding.simhashLevels else Banding.minhashLevels
+
+  /** Each signature of `f`'s attributes as (attribute, evidence, signature),
+    * empty ones included.
+    */
+  private def signaturesOf(f: TableFeatures): Seq[(AttrFeatures, String, Array[Long])] = {
+    assert(f.attrs.forall(_.sigs.length == Evidence.indexed.size), s"${f.tableId}: signatures per attribute")
+    for (a <- f.attrs; (ev, e) <- Evidence.indexed.zipWithIndex) yield (a, ev, a.sigs(e))
+  }
+
   /** The lake's buckets from its features alone: (evidence, band id, bucket
     * hash) → ids of the lake attributes in it, ascending.
     */
   private def lakeBuckets(idx: LakeIndexes): Map[(String, Int, Long), Seq[Int]] = {
-    val id = idx.serving.attrs.map(a => FeatureExtraction.attrId(a.tableId, a.colIdx) -> a.id).toMap
-    idx.features.flatMap(_.signatures)
-      .flatMap(s => FeatureExtraction.bucketsOf(s.evidence, s.sig).map { case (b, h) => (s.evidence, b, h) -> id(s.attr) })
+    val id = idx.serving.attrs.map(a => (a.tableId, a.colIdx) -> a.id).toMap
+    idx.features
+      .flatMap(f => signaturesOf(f).flatMap { case (a, ev, sig) =>
+        Banding.buckets(sig, levelsOf(ev)).map { case (b, h) => (ev, b, h) -> id((f.tableId, a.colIdx)) } })
       .groupBy(_._1).map { case (k, vs) => k -> vs.map(_._2).sorted }
   }
 
@@ -127,12 +140,12 @@ class D3LEquivalenceSpec extends SparkSpec with PropSupport {
     */
   private def checkResolved(idx: LakeIndexes, features: TableFeatures, targets: Seq[ServedAttr]): Int = {
     val held = lakeBuckets(idx)
-    val sigs = features.signatures.map(s => (s.colIdx, s.evidence) -> s.sig).toMap
-    assert(targets.map(t => (t.tableId, t.colIdx)) == features.profiles.map(p => (p.tableId, p.colIdx)))
+    val sigs = signaturesOf(features).map { case (a, ev, sig) => (a.colIdx, ev) -> sig }.toMap
+    assert(targets.map(t => (t.tableId, t.colIdx)) == features.attrs.map(a => (features.tableId, a.colIdx)))
     targets.map { t =>
       Evidence.indexed.zipWithIndex.map { case (ev, e) =>
-        val sig = sigs.getOrElse((t.colIdx, ev), Array.emptyLongArray)
-        val keys = FeatureExtraction.bucketsOf(ev, sig)
+        val sig = sigs((t.colIdx, ev))
+        val keys = Banding.buckets(sig, levelsOf(ev))
         val want = keys.flatMap { case (b, h) => held.get((ev, b, h)) }
         assert(t.buckets(e).map(b => idx.serving.probe(b).toSeq).toSeq == want, s"${t.tableId}#${t.colIdx} $ev buckets")
         assert((if (ev == Evidence.E && sig.nonEmpty) RandomProjection.pack(sig) else sig).sameElements(t.sigs(e)),

@@ -3,6 +3,7 @@ package repro.core
 import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.lake.{Generators, LakeDf}
@@ -285,6 +286,27 @@ class D3LSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
       words.foreach(w => assert(e.getMessage.contains(w), e.getMessage))
     }
+  }
+
+  for ((what, column, v, message) <- Seq[(String, String, Column, (String, String) => String)](
+      ("a null table id", "table_id", lit(null).cast("string"), (_, name) => s"null table id at column 1 ('$name'), row 2"),
+      ("an empty table id", "table_id", lit(""), (_, name) => s"empty table id at column 1 ('$name'), row 2"),
+      ("a negative column index", "col_idx", lit(-1),
+        (id, name) => s"table '$id' has a negative column index -1 ('$name') in row 2")))
+    test(s"D3L.index rejects $what in a two-table lake, naming the table, column and row") {
+      val t = lake.tables.head
+      val cell = col("table_id") === t.id && col("col_idx") === 1 && col("row_idx") === 2
+      val bad = LakeDf.toLong(spark, lake.tables.take(2)).withColumn(column, when(cell, v).otherwise(col(column)))
+      val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
+      assert(e.getMessage.contains(message(t.id, t.columns(1).name)), e.getMessage)
+    }
+
+  test("row_idx only orders a column's values: negative row indexes index like their shifted non-negative ones") {
+    val shifted = D3L.index(spark, long.withColumn("row_idx", col("row_idx") - 1000L))
+    Seq[LakeIndexes => DataFrame](_.catalog, _.signatures, _.buckets, _.numericProfiles, _.subjects)
+      .foreach(frame => assert(frame(shifted).collect().toSeq.map(_.toString) == frame(idx).collect().toSeq.map(_.toString)))
+    val (a, b) = (D3L.queryAll(spark, shifted, targets), D3L.queryAll(spark, idx, targets))
+    assert((a.ranked, a.aligned) == ((b.ranked, b.aligned)))
   }
 
   test("D3L.index leaves no persistent RDD") {

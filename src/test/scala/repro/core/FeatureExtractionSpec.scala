@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
+import repro.lsh.{Banding, MinHash}
 import repro.text.{Embeddings, Tokenizer}
 
 class FeatureExtractionSpec extends SparkSpec {
@@ -152,7 +153,6 @@ class FeatureExtractionSpec extends SparkSpec {
   }
 
   test("similar attribute names produce similar N signatures") {
-    import repro.lsh.MinHash
     val sigs = idx.signatures.filter(col("evidence") === "N")
       .select("attr", "sig").collect()
       .map(r => r.getString(0) -> r.getAs[scala.collection.Seq[Long]](1).toArray).toMap
@@ -163,7 +163,6 @@ class FeatureExtractionSpec extends SparkSpec {
   }
 
   test("overlapping extents produce similar V signatures") {
-    import repro.lsh.MinHash
     val sigs = idx.signatures.filter(col("evidence") === "V")
       .select("attr", "sig").collect()
       .map(r => r.getString(0) -> r.getAs[scala.collection.Seq[Long]](1).toArray).toMap
@@ -178,7 +177,6 @@ class FeatureExtractionSpec extends SparkSpec {
     // containing it) while 'portland' is unique — the tset keeps 'portland'.
     // Reconstruct via public API: the V signature must differ from a
     // signature over ALL tokens (frequent ones dropped).
-    import repro.lsh.MinHash
     import repro.text.Tokenizer
     val allTokens = tinyTables.head.columns(1).values.flatMap(Tokenizer.tokens)
     val vSig = idx.signatures.filter(col("attr") === "t1#1" && col("evidence") === "V")
@@ -224,14 +222,51 @@ class FeatureExtractionSpec extends SparkSpec {
     val vecs = idx.tokenEmbeddings.collect().map(r =>
       r.getString(0) -> r.getAs[scala.collection.Seq[Float]](1).toArray).toMap
     val f = FeatureExtraction.extractTable(tinyTables.head, D3LConfig(), vecs.get)
+    def id(a: AttrFeatures) = FeatureExtraction.attrId(f.tableId, a.colIdx)
     val sigs = idx.signatures.filter(col("table_id") === "t1").collect()
       .map(r => (r.getAs[String]("attr"), r.getAs[String]("evidence")) ->
         r.getAs[scala.collection.Seq[Long]]("sig").toSeq).toMap
-    assert(f.signatures.map(s => (s.attr, s.evidence) -> s.sig.toSeq).toMap == sigs)
+    assert(f.attrs.forall(_.sigs.length == Evidence.indexed.size))
+    val kernelSigs = for (a <- f.attrs; (ev, e) <- Evidence.indexed.zipWithIndex if a.sigs(e).nonEmpty)
+      yield (id(a), ev) -> a.sigs(e).toSeq
+    assert(kernelSigs.toMap == sigs)
     val tsets = idx.catalog.filter(col("table_id") === "t1").collect()
       .map(r => r.getAs[String]("attr") -> r.getAs[Long]("tset_size")).toMap
-    assert(f.profiles.map(p => p.attr -> p.tsetSize).toMap == tsets)
-    assert(f.samples.map(s => s.attr -> s.sample.toSeq) == Seq("t1#2" -> Seq(980.0, 1202.0, 3572.0)))
+    assert(f.attrs.map(a => id(a) -> a.tsetSize).toMap == tsets)
+    assert(f.attrs.flatMap(a => a.sample.map(s => id(a) -> s.toSeq)) == Seq("t1#2" -> Seq(980.0, 1202.0, 3572.0)))
     assert(f.subject.contains(0))
+  }
+
+  test("signatures and buckets list each attribute's evidence as ℕ, 𝔽, 𝕍, 𝔼, in table and column order") {
+    val want = Seq("t1#0" -> "NFVE", "t1#1" -> "NFVE", "t1#2" -> "NF", "t2#0" -> "NFVE", "t2#1" -> "NF")
+      .flatMap { case (a, evs) => evs.map(e => (a, e.toString)) }
+    val sigRows = idx.signatures.select("attr", "evidence").collect().map(r => (r.getString(0), r.getString(1))).toSeq
+    assert(sigRows == want)
+    val bucketRows = idx.buckets.select("attr", "evidence", "band").collect()
+      .map(r => ((r.getString(0), r.getString(1)), r.getInt(2))).toSeq
+    // Consecutive rows of one (attribute, evidence), each run in banding order.
+    val runs = bucketRows.foldRight(List.empty[((String, String), Seq[Int])]) {
+      case ((k, band), (k2, bands) :: rest) if k == k2 => (k, band +: bands) :: rest
+      case ((k, band), acc) => (k, Seq(band)) :: acc
+    }
+    assert(runs.map(_._1) == want)
+    runs.foreach { case ((a, ev), bands) =>
+      val levels = if (ev == Evidence.E) Banding.simhashLevels else Banding.minhashLevels
+      assert(bands == Banding.buckets(Array.fill(256)(1L), levels).map(_._1), s"$a $ev bands")
+    }
+  }
+
+  test("a column name without letters or digits gets the empty ℕ signature and no ℕ bucket") {
+    val t = Seq(LakeTable("p1", "c", Vector(
+      LakeColumn("#/ - € —", Vector("alpha one", "beta two", "gamma three"), "c.p", isSubject = true),
+      LakeColumn("Count", Vector("1", "2", "3"), "c.n", isSubject = false))))
+    val i2 = FeatureExtraction.extract(spark, LakeDf.toLong(spark, t))
+    val nSig = i2.signatures.filter(col("attr") === "p1#0" && col("evidence") === Evidence.N)
+      .select("sig").collect().map(_.getAs[scala.collection.Seq[Long]](0).toSeq).toSeq
+    assert(nSig == Seq(Seq.fill(MinHash.NumHashes)(MinHash.EmptySentinel)))
+    val evs = i2.buckets.filter(col("attr") === "p1#0").select("evidence").distinct()
+      .collect().map(_.getString(0)).toSet
+    assert(evs == Set(Evidence.V, Evidence.F, Evidence.E))
+    assert(i2.serving.attrs.head.buckets(Evidence.indexed.indexOf(Evidence.N)).isEmpty)
   }
 }

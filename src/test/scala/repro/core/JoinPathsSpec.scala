@@ -1,11 +1,12 @@
 package repro.core
 
 import org.apache.spark.sql.functions.col
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.lake.{Generators, LakeDf}
 import repro.lsh.MinHash
 
-class JoinPathsSpec extends SparkSpec {
+class JoinPathsSpec extends SparkSpec with PropSupport {
 
   private lazy val lake = Generators.smallerReal(nClusters = 2, tablesPerCluster = 6, poolSize = 60, seed = 41)
   private lazy val idx = D3L.index(spark, LakeDf.toLong(spark, lake.tables))
@@ -83,7 +84,7 @@ class JoinPathsSpec extends SparkSpec {
   ))
 
   test("findJoinPaths enumerates simple paths from the start node") {
-    val paths = JoinPaths.findJoinPaths(g, topK = Set("s1"),
+    val paths = JoinPathsReference.findJoinPaths(g, topK = Set("s1"),
       relatedToTarget = Set("x1", "x2", "x3"), start = "s1")
     assert(paths.contains(List("s1", "x1")))
     assert(paths.contains(List("s1", "x2")))
@@ -91,24 +92,24 @@ class JoinPathsSpec extends SparkSpec {
   }
 
   test("paths never revisit nodes (acyclic)") {
-    val paths = JoinPaths.findJoinPaths(g, Set("s1"), Set("x1", "x2", "x3"), "s1")
+    val paths = JoinPathsReference.findJoinPaths(g, Set("s1"), Set("x1", "x2", "x3"), "s1")
     paths.foreach(p => assert(p.distinct == p))
   }
 
   test("paths never pass through other top-k tables") {
-    val paths = JoinPaths.findJoinPaths(g, topK = Set("s1", "x1"),
+    val paths = JoinPathsReference.findJoinPaths(g, topK = Set("s1", "x1"),
       relatedToTarget = Set("x1", "x2", "x3"), start = "s1")
     assert(!paths.exists(_.tail.contains("x1")))
     assert(paths.contains(List("s1", "x2")))
   }
 
   test("paths require index evidence of target relatedness") {
-    val paths = JoinPaths.findJoinPaths(g, Set("s1"), relatedToTarget = Set("x2"), "s1")
+    val paths = JoinPathsReference.findJoinPaths(g, Set("s1"), relatedToTarget = Set("x2"), "s1")
     assert(paths == Set(List("s1", "x2")))
   }
 
   test("maxLen caps path length") {
-    val paths = JoinPaths.findJoinPaths(g, Set("s1"), Set("x1", "x2", "x3"), "s1", maxLen = 2)
+    val paths = JoinPathsReference.findJoinPaths(g, Set("s1"), Set("x1", "x2", "x3"), "s1", maxLen = 2)
     assert(paths.forall(_.size <= 2))
     assert(!paths.contains(List("s1", "x1", "x3")))
   }
@@ -119,8 +120,33 @@ class JoinPathsSpec extends SparkSpec {
   }
 
   test("disconnected start yields no paths") {
-    assert(JoinPaths.findJoinPaths(g, Set("s2"), Set("x1"), "s2").isEmpty)
+    assert(JoinPathsReference.findJoinPaths(g, Set("s2"), Set("x1"), "s2").isEmpty)
     assert(JoinPaths.reachable(g, Set("s2"), Set("x1"), "s2").isEmpty)
+  }
+
+  /** An undirected graph over up to 8 nodes, with a start node, a top-k
+    * set, a relatedness guard and a path-length cap of 0–4 nodes.
+    */
+  private val algorithm3Cases: Gen[(JoinPaths.SaJoinGraph, Set[String], Set[String], String, Int)] = for {
+    n <- Gen.choose(1, 8)
+    nodes = (0 until n).map(i => s"n$i")
+    pairs = for (a <- nodes; b <- nodes if a < b) yield (a, b)
+    edges <- Gen.someOf(pairs)
+    topK <- Gen.someOf(nodes)
+    guard <- Gen.someOf(nodes)
+    start <- Gen.oneOf(nodes)
+    maxLen <- Gen.choose(0, 4)
+  } yield {
+    val adj = edges.toSeq.flatMap { case (a, b) => Seq(a -> b, b -> a) }.groupMap(_._1)(_._2)
+    (JoinPaths.SaJoinGraph(adj.map { case (k, vs) => k -> vs.toSet }), topK.toSet, guard.toSet, start, maxLen)
+  }
+
+  test("reachable is the set of nodes on Algorithm 3's join paths, minus the start") {
+    forAllGen(algorithm3Cases, minSuccessful = 500) { case (graph, topK, guard, start, maxLen) =>
+      val paths = JoinPathsReference.findJoinPaths(graph, topK, guard, start, maxLen)
+      assert(JoinPaths.reachable(graph, topK, guard, start, maxLen) == paths.flatten - start,
+        s"graph ${graph.neighbours}, topK $topK, guard $guard, start $start, maxLen $maxLen")
+    }
   }
 
   test("graph lookup of unknown table is empty") {

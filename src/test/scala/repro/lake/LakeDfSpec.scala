@@ -51,17 +51,4 @@ class LakeDfSpec extends SparkSpec {
       s"SELECT col_idx, count(DISTINCT value) AS n_distinct FROM lake WHERE table_id = '$t' GROUP BY col_idx",
       "lake" -> long)
   }
-
-  test("truthPairs emits one row per related pair") {
-    val pairs = LakeDf.truthPairs(spark, lake.truth)
-    val expected = lake.truth.relatedTables.map(_._2.size).sum
-    assert(pairs.count() == expected)
-  }
-
-  test("truthPairs round-trips relatedness") {
-    import spark.implicits._
-    val pairs = LakeDf.truthPairs(spark, lake.truth)
-      .as[(String, String)].collect()
-    pairs.foreach { case (t, s) => assert(lake.truth.related(t, s)) }
-  }
 }

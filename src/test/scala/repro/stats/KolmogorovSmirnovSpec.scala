@@ -40,13 +40,6 @@ class KolmogorovSmirnovSpec extends SparkSpec {
     assert(d > 0.0 && d < 1.0)
   }
 
-  test("statistic over unsorted input matches sorted") {
-    val a = Seq(3.0, 1.0, 2.0)
-    val b = Seq(6.0, 4.0, 5.0)
-    assert(KolmogorovSmirnov.statistic(a, b) ==
-      KolmogorovSmirnov.statisticSorted(a.toArray.sorted, b.toArray.sorted))
-  }
-
   test("same distribution, different draws → small KS") {
     val rnd = new scala.util.Random(5)
     val a = Array.fill(400)(rnd.nextGaussian() * 10 + 50).sorted

@@ -48,13 +48,6 @@ class EmbeddingsSpec extends SparkSpec {
     assert(Embeddings.cosine(Embeddings.baseVector("x"), new Array[Float](Embeddings.Dim)) == 0.0)
   }
 
-  test("cosineDistance clips to [0,1]") {
-    val v = Embeddings.baseVector("x")
-    val neg = v.map(-_)
-    assert(Embeddings.cosineDistance(v, v) == 0.0)
-    assert(Embeddings.cosineDistance(v, neg) == 1.0) // raw distance 2 → clipped
-  }
-
   test("distributional property: tokens sharing context get similar sums") {
     // street & road each co-occur with the same context tokens → their
     // context sums (the random-indexing embedding) are close in cosine.
