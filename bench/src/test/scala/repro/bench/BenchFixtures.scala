@@ -35,14 +35,14 @@ object BenchFixtures {
   lazy val weights: Map[String, Double] = trained.weights
 
   lazy val synD3l: Harness.SystemRun = Harness.runD3L(spark, synthetic, Some(weights))
-  lazy val synTus: Harness.SystemRun = Harness.runTus(spark, synthetic)
-  lazy val synAurum: Harness.SystemRun = Harness.runAurum(spark, synthetic)
+  lazy val synTus: Harness.SystemRun = Harness.runTus(synthetic)
+  lazy val synAurum: Harness.SystemRun = Harness.runAurum(synthetic)
 
   lazy val srD3l: Harness.SystemRun = Harness.runD3L(spark, smallerReal, Some(weights))
   /** D³L's typed ranking behind [[srD3l]] (Experiment 1 re-ranks it). */
   lazy val srD3lRanked: Seq[D3L.Ranked] = Harness.queryD3L(spark, smallerReal, Some(weights)).ranked
-  lazy val srTus: Harness.SystemRun = Harness.runTus(spark, smallerReal)
-  lazy val srAurum: Harness.SystemRun = Harness.runAurum(spark, smallerReal)
+  lazy val srTus: Harness.SystemRun = Harness.runTus(smallerReal)
+  lazy val srAurum: Harness.SystemRun = Harness.runAurum(smallerReal)
 
   def banner(title: String): Unit =
     println(s"\n==== $title ====")

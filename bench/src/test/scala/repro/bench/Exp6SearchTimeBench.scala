@@ -6,7 +6,8 @@ import repro.eval.Experiments
 /** Experiment 6 (Fig. 6c): search time vs answer size on Smaller Real.
   * Paper shape: D³L still ahead of TUS but the gap shrinks — Smaller Real
   * has more numeric attributes (D³L spends KS time on them, TUS ignores
-  * them) and fewer tables. Aurum constant: 18.37 s on the paper's setup.
+  * them) and fewer tables. Aurum's constant EKG query time: 18.37 s on the
+  * paper's setup.
   */
 class Exp6SearchTimeBench extends SparkSpec {
   import BenchFixtures._
@@ -17,7 +18,7 @@ class Exp6SearchTimeBench extends SparkSpec {
     banner("Experiment 6 — per-query search time (s) vs k (Smaller Real)")
     println(f"${"system"}%-8s ${"k"}%5s ${"seconds"}%9s")
     rows.foreach(r => println(f"${r.system}%-8s ${r.x}%5d ${r.seconds}%9.3f"))
-    println(f"aurum constant graph-query time: $aurumConst%9.6f s (paper: 18.37 s)")
+    println(f"aurum constant EKG query time: $aurumConst%9.6f s (paper: 18.37 s)")
 
     rows.foreach(r => assert(r.seconds > 0))
     // Gap-shrink shape: D³L's advantage over TUS here should be smaller than

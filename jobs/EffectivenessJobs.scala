@@ -19,7 +19,7 @@ object Exp2Job {
     val spark = JobSupport.session("exp2-synthetic-pr")
     val (syn, _, w) = JobSupport.fixtures(spark)
     val rows = Experiments.comparativePr(spark, syn, JobSupport.ks,
-      Harness.runD3L(spark, syn, Some(w)), Harness.runTus(spark, syn), Harness.runAurum(spark, syn))
+      Harness.runD3L(spark, syn, Some(w)), Harness.runTus(syn), Harness.runAurum(syn))
     println(Experiments.fmtPr(rows))
     spark.stop()
   }
@@ -31,7 +31,7 @@ object Exp3Job {
     val spark = JobSupport.session("exp3-smaller-real-pr")
     val (_, sr, w) = JobSupport.fixtures(spark)
     val rows = Experiments.comparativePr(spark, sr, JobSupport.ks,
-      Harness.runD3L(spark, sr, Some(w)), Harness.runTus(spark, sr), Harness.runAurum(spark, sr))
+      Harness.runD3L(spark, sr, Some(w)), Harness.runTus(sr), Harness.runAurum(sr))
     println(Experiments.fmtPr(rows))
     spark.stop()
   }

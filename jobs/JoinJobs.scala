@@ -9,7 +9,7 @@ object Exp8Job {
     val (syn, _, w) = JobSupport.fixtures(spark)
     val d3l = Harness.runD3L(spark, syn, Some(w))
     val rows = Experiments.coverage(syn, JobSupport.ks, d3l,
-      Harness.runTus(spark, syn), Harness.runAurum(spark, syn))
+      Harness.runTus(syn), Harness.runAurum(syn))
     println(Experiments.fmtCov(rows, "coverage"))
     spark.stop()
   }
@@ -21,7 +21,7 @@ object Exp9Job {
     val (syn, _, w) = JobSupport.fixtures(spark)
     val d3l = Harness.runD3L(spark, syn, Some(w))
     val rows = Experiments.attrPrecision(syn, JobSupport.ks, d3l,
-      Harness.runTus(spark, syn), Harness.runAurum(spark, syn))
+      Harness.runTus(syn), Harness.runAurum(syn))
     println(Experiments.fmtCov(rows, "attr_prec"))
     spark.stop()
   }
@@ -34,7 +34,7 @@ object Exp10Job {
     val (_, sr, w) = JobSupport.fixtures(spark)
     val d3l = Harness.runD3L(spark, sr, Some(w))
     val rows = Experiments.coverage(sr, JobSupport.ks, d3l,
-      Harness.runTus(spark, sr), Harness.runAurum(spark, sr))
+      Harness.runTus(sr), Harness.runAurum(sr))
     println(Experiments.fmtCov(rows, "coverage"))
     spark.stop()
   }
@@ -46,7 +46,7 @@ object Exp11Job {
     val (_, sr, w) = JobSupport.fixtures(spark)
     val d3l = Harness.runD3L(spark, sr, Some(w))
     val rows = Experiments.attrPrecision(sr, JobSupport.ks, d3l,
-      Harness.runTus(spark, sr), Harness.runAurum(spark, sr))
+      Harness.runTus(sr), Harness.runAurum(sr))
     println(Experiments.fmtCov(rows, "attr_prec"))
     spark.stop()
   }

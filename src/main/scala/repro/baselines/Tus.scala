@@ -2,10 +2,10 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.Window
 import repro.core.FeatureExtraction
 import repro.lake.{LakeDf, LakeTable}
 import repro.lsh.{Banding, MinHash, RandomProjection}
+import repro.stats.Ccdf
 import repro.text.{Embeddings, Tokenizer}
 
 /** Table Union Search baseline (Nargesian et al., PVLDB'18), reimplemented
@@ -23,8 +23,18 @@ import repro.text.{Embeddings, Tokenizer}
   * over that target attribute's candidates, the per-pair ensemble takes the
   * max, and table aggregation is max-score — the dispersion + max-score
   * behaviour the paper blames for TUS's ranking quality.
+  *
+  * The signatures are computed on Spark and collected to the driver once;
+  * queries probe their buckets in plain Scala and start no Spark job, except
+  * for `queryTable`'s profiling of its target (Spark plus SyntheticKB
+  * lookups), which is TUS's reproduced query-time cost.
   */
 object Tus {
+
+  /** A textual attribute: column `colIdx` of `tableId`, with its signature
+    * per measure (in [[measures]] order), empty when it has none.
+    */
+  final case class Attr(tableId: String, colIdx: Int, sigs: IndexedSeq[Array[Long]])
 
   final case class TusIndexes(
       catalog: DataFrame,
@@ -33,19 +43,30 @@ object Tus {
       /** Token → vector model the NL signatures were built with. */
       embeddings: Map[String, Array[Float]],
       kbPath: String,
+      /** The lake's textual attributes, collected, in (table id, column) order. */
+      attrs: IndexedSeq[Attr],
+      /** (measure ordinal, band id, bucket hash) → positions in `attrs`, ascending. */
+      bucketAttrs: Map[(Int, Int, Long), Array[Int]],
   ) {
-    def cacheAll(): TusIndexes = {
-      Seq(catalog, signatures, buckets).foreach(df => { df.cache(); df.count() })
-      this
-    }
-    def unpersistAll(): Unit =
-      Seq(catalog, signatures, buckets).foreach(_.unpersist())
+    /** Releases the cached catalog and signatures. */
+    def unpersistAll(): Unit = Seq(catalog, signatures).foreach(_.unpersist())
   }
 
-  final case class TusResult(ranking: DataFrame, alignments: DataFrame)
+  /** Lake table `sTable` as the `rank`-th most unionable (from 1) with target `tTable`. */
+  final case class Ranked(tTable: String, sTable: String, score: Double, rank: Int)
+
+  /** Column `sCol` of `sTable` aligned with column `tCol` of `tTable`, at the max probability over the measures. */
+  final case class Aligned(tTable: String, tCol: Int, sTable: String, sCol: Int, bestP: Double)
+
+  /** Rankings (each in rank order) and alignments of every target, in target order. */
+  final case class TusResult(ranked: IndexedSeq[Ranked], aligned: IndexedSeq[Aligned])
 
   val Set_ = "SET"; val Sem = "SEM"; val Nl = "NL"
   val measures: Seq[String] = Seq(Set_, Sem, Nl)
+
+  /** Banding levels per measure ordinal. */
+  private val levels: IndexedSeq[Seq[Banding.Level]] =
+    measures.map(m => if (m == Nl) Banding.simhashLevels else Banding.minhashLevels).toIndexedSeq
 
   /** Build the three TUS indexes over a lake (includes the KB mapping of
     * every distinct token — the dominant indexing cost, as in the paper).
@@ -64,6 +85,7 @@ object Tus {
         sum(when(nonEmpty, 1L).otherwise(0L)) as "n_values",
         sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric")
       .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(0.8) * $"n_values")
+      .cache()
 
     val textual = catalog.filter(!$"is_numeric").select("attr")
 
@@ -108,103 +130,93 @@ object Tus {
       .groupByKey(_._1)
       .mapGroups { (a, it) => (a, Nl, RandomProjection.signature(Embeddings.mean(it.map(_._2).toSeq))) }
 
+    // The catalog and signatures stay cached with what was collected (Table
+    // II writes them); the intermediate caches are released once computed.
     val signatures = sigSet.union(sigSem).union(sigNl)
       .toDF("attr", "measure", "sig")
       .join(catalog.select("attr", "table_id", "col_idx"), "attr")
-
+      .cache()
+    val rows = signatures.select("table_id", "col_idx", "measure", "sig")
+      .as[(String, Int, String, Array[Long])].collect()
+    lake.unpersist(); values.unpersist(); attrTokens.unpersist(); attrClasses.unpersist()
+    val attrs = rows.groupBy(r => (r._1, r._2)).toIndexedSeq.sortBy(_._1).map { case ((tid, c), rs) =>
+      Attr(tid, c, measures.map(m => rs.find(_._3 == m).fold(Array.emptyLongArray)(_._4)).toIndexedSeq)
+    }
     val buckets = signatures
       .select($"attr", $"table_id", $"measure", $"sig").as[(String, String, String, Array[Long])]
       .flatMap { case (attr, tid, m, sig) =>
-        val levels = if (m == Nl) Banding.simhashLevels else Banding.minhashLevels
-        Banding.buckets(sig, levels).map { case (band, bucket) => (m, band, bucket, attr, tid) }
+        Banding.buckets(sig, levels(measures.indexOf(m))).map { case (band, bucket) => (m, band, bucket, attr, tid) }
       }
       .toDF("measure", "band", "bucket", "attr", "table_id")
-
-    lake.unpersist(); values.unpersist(); attrTokens.unpersist()
-    TusIndexes(catalog, signatures, buckets, embeddings, kbPath)
+    val bucketAttrs = (for {
+      (a, i) <- attrs.zipWithIndex
+      m <- measures.indices
+      (band, bucket) <- Banding.buckets(a.sigs(m), levels(m))
+    } yield (m, band, bucket) -> i).groupMap(_._1)(_._2).map { case (k, is) => k -> is.toArray }
+    TusIndexes(catalog, signatures, buckets, embeddings, kbPath, attrs, bucketAttrs)
   }
 
-  private val simUdf = udf((m: String, a: Seq[Long], b: Seq[Long]) => {
-    val aa = a.toArray; val bb = b.toArray
-    m match {
-      case "NL" => math.max(0.0, RandomProjection.estimateCosine(aa, bb))
-      case _    => MinHash.estimateJaccard(aa, bb)
-    }
-  })
-
   /** Batched query with stored target signatures (lake members). */
-  def queryAll(spark: SparkSession, idx: TusIndexes, targetIds: Seq[String]): TusResult = {
-    import spark.implicits._
-    val targets = targetIds.toDF("table_id")
-    queryWith(spark,
-      idx.buckets.join(targets, "table_id"),
-      idx.signatures.join(targets, "table_id"),
-      idx)
+  def queryAll(idx: TusIndexes, targetIds: Seq[String]): TusResult = {
+    val answers = targetIds.distinct.toIndexedSeq
+      .map(t => searchTable(idx, t, idx.attrs.filter(_.tableId == t), Set(t)))
+    TusResult(answers.flatMap(_.ranked), answers.flatMap(_.aligned))
   }
 
   /** Single-target query including fresh feature extraction + KB mapping of
-    * the target's tokens (the paper's TUS query-time leak).
+    * the target's tokens (the paper's TUS query-time leak). `excludeId`
+    * drops a lake table (e.g. the lake copy of the target) at the probe, as
+    * does the lake table whose id equals `target.id`: a table is never its
+    * own answer.
     */
   def queryTable(spark: SparkSession, idx: TusIndexes, target: LakeTable,
                  excludeId: Option[String] = None): TusResult = {
-    val tLong = LakeDf.toLong(spark, Seq(target))
-    val tIdx = index(spark, tLong, idx.kbPath, reuseEmbeddings = Some(idx.embeddings))
-    val res = queryWith(spark, tIdx.buckets, tIdx.signatures, idx)
-    excludeId match {
-      case Some(ex) => TusResult(
-        res.ranking.filter(col("s_table") =!= ex),
-        res.alignments.filter(col("s_table") =!= ex))
-      case None => res
-    }
+    val t = index(spark, LakeDf.toLong(spark, Seq(target)), idx.kbPath, reuseEmbeddings = Some(idx.embeddings))
+    t.unpersistAll()
+    searchTable(idx, target.id, t.attrs, excludeId.toSet + target.id)
   }
 
-  private def queryWith(spark: SparkSession, tBuckets: DataFrame, tSignatures: DataFrame,
-                        idx: TusIndexes): TusResult = {
-    import spark.implicits._
-    val tb = tBuckets.select($"measure", $"band", $"bucket", $"attr" as "t_attr", $"table_id" as "t_table")
-    val sb = idx.buckets.select($"measure", $"band", $"bucket", $"attr" as "s_attr", $"table_id" as "s_table")
-    val collided = tb.join(sb, Seq("measure", "band", "bucket"))
-      .filter($"t_table" =!= $"s_table")
-      .select("measure", "t_attr", "t_table", "s_attr", "s_table")
-      .distinct()
-
-    val tSig = tSignatures.select($"attr" as "t_attr", $"measure", $"sig" as "t_sig", $"col_idx" as "t_col")
-    val sSig = idx.signatures.select($"attr" as "s_attr", $"measure", $"sig" as "s_sig", $"col_idx" as "s_col")
-    val scored = collided
-      .join(tSig, Seq("t_attr", "measure"))
-      .join(sSig, Seq("s_attr", "measure"))
-      .withColumn("sim", simUdf($"measure", $"t_sig", $"s_sig"))
-      .select("measure", "t_attr", "t_table", "t_col", "s_attr", "s_table", "s_col", "sim")
-
-    // Similarity → probability by empirical CDF per (measure, target attr);
-    // ensemble over measures = max (the paper's characterisation of TUS).
-    // Table unionability follows TUS's alignment aggregation: per target
-    // attribute take the best pair probability with S, sum over the aligned
-    // target attributes, and normalise by the target arity candidate count —
-    // a pure max-of-pairs table score degenerates on clean lakes where many
-    // tables tie at probability 1.0 on one generic column.
-    val wAttr = Window.partitionBy("measure", "t_attr")
-    val probs = scored
-      .withColumn("prob", cume_dist().over(wAttr.orderBy($"sim")))
-    val pairScore = probs.groupBy("t_table", "t_attr", "t_col", "s_table", "s_attr", "s_col")
-      .agg(max($"prob") as "p")
-
-    val perTargetAttr = pairScore.groupBy("t_table", "t_attr", "s_table")
-      .agg(max($"p") as "best_p")
-    val nTargetAttrs = perTargetAttr.groupBy("t_table")
-      .agg(countDistinct($"t_attr") as "n_t_attrs")
-    val ranking = perTargetAttr.groupBy("t_table", "s_table")
-      .agg(sum($"best_p") as "align_sum")
-      .join(nTargetAttrs, "t_table")
-      .withColumn("score", $"align_sum" / $"n_t_attrs")
-      .drop("align_sum", "n_t_attrs")
-      .withColumn("rank", row_number().over(
-        Window.partitionBy("t_table").orderBy($"score".desc, $"s_table".asc)))
-
-    val alignments = pairScore
-      .groupBy("t_table", "t_col", "s_table", "s_col")
-      .agg(max($"p") as "best_p")
-
-    TusResult(ranking, alignments)
+  /** Target table `tTable` with textual attributes `ts`, in column order.
+    * Per measure and target attribute, the lake attributes sharing a bucket
+    * with it, outside the `exclude`d tables, are its candidates; a
+    * candidate's similarity (Jaccard, or max(0, cosine) for NL) becomes a
+    * probability by the empirical CDF of those candidates' similarities
+    * (`cume_dist`). A pair's probability is the max over the measures.
+    * Table unionability follows TUS's alignment aggregation: per target
+    * attribute the best pair probability with S, summed in target-attribute
+    * order and divided by the number of target attributes with a candidate
+    * — a pure max-of-pairs table score degenerates on clean lakes where many
+    * tables tie at probability 1.0 on one generic column.
+    */
+  private def searchTable(idx: TusIndexes, tTable: String, ts: IndexedSeq[Attr], exclude: Set[String]): TusResult = {
+    val n = idx.attrs.size
+    val pairP = scala.collection.mutable.LongMap.empty[Double] // target position · n + lake position → probability
+    for (ti <- ts.indices; m <- measures.indices) {
+      val sig = ts(ti).sigs(m)
+      val cands = Banding.buckets(sig, levels(m))
+        .flatMap { case (band, bucket) => idx.bucketAttrs.getOrElse((m, band, bucket), Array.emptyIntArray) }
+        .distinct.filterNot(si => exclude.contains(idx.attrs(si).tableId))
+      val sims = cands.map { si =>
+        val other = idx.attrs(si).sigs(m)
+        if (measures(m) == Nl) math.max(0.0, RandomProjection.estimateCosine(sig, other))
+        else MinHash.estimateJaccard(sig, other)
+      }
+      val sorted = sims.sorted(Ordering.Double.TotalOrdering).toArray
+      cands.zip(sims).foreach { case (si, sim) =>
+        val k = ti.toLong * n + si
+        pairP(k) = math.max(pairP.getOrElse(k, 0.0), Ccdf.upperBound(sorted, sim).toDouble / sorted.length)
+      }
+    }
+    val aligned = pairP.keys.toIndexedSeq.sorted.map { k =>
+      val (t, s) = (ts((k / n).toInt), idx.attrs((k % n).toInt))
+      Aligned(tTable, t.colIdx, s.tableId, s.colIdx, pairP(k))
+    }
+    val best = aligned.groupMapReduce(a => (a.tCol, a.sTable))(_.bestP)(math.max).toIndexedSeq.sortBy(_._1._1)
+    val nAligned = best.map(_._1._1).distinct.size
+    val ranked = best.groupMap(_._1._2)(_._2).map { case (s, ps) => (s, ps.sum / nAligned) }.toIndexedSeq
+      .sortBy { case (s, score) => (score, s) }(
+        Ordering.Tuple2(Ordering.Double.TotalOrdering.reverse, Ordering.String))
+      .zipWithIndex.map { case ((s, score), i) => Ranked(tTable, s, score, i + 1) }
+    TusResult(ranked, aligned)
   }
 }

@@ -152,7 +152,8 @@ object FeatureExtraction {
         id -> rows.toSeq.groupBy(_._1).toSeq.map { case (ci, rs) =>
           val sorted = rs.sortBy(_._3)
           sorted.iterator.zip(sorted.iterator.drop(1)).foreach { case (a, b) =>
-            require(a._2 == b._2, s"malformed lake: table '$id' column $ci has two names, '${a._2}' and '${b._2}'")
+            require(a._2 == b._2,
+              s"malformed lake: table '$id' column $ci has two names, '${a._2}' in row ${a._3} and '${b._2}' in row ${b._3}")
             require(a._3 != b._3, s"malformed lake: table '$id' column $ci has two cells in row ${a._3}")
           }
           ColumnValues(ci, sorted.head._2, sorted.map(_._4))

@@ -70,7 +70,7 @@ object JoinPaths {
     * Aurum+J's PK/FK traversal.
     */
   def reachable(graph: SaJoinGraph, topK: Set[String], relatedToTarget: String => Boolean,
-                start: String, maxLen: Int = 4): Set[String] = {
+                start: String, maxLen: Int): Set[String] = {
     val visited = scala.collection.mutable.Set(start)
     var frontier = List(start)
     var depth = 1

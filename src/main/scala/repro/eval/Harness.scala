@@ -61,7 +61,7 @@ object Harness {
     val lakeLong = LakeDf.toLong(spark, lake.tables).cache()
     lakeLong.count()
     val d3l = D3L.index(spark, lakeLong, cfg)
-    val tus = Tus.index(spark, lakeLong, kbPath, reuseEmbeddings = Some(d3l.embeddings)).cacheAll()
+    val tus = Tus.index(spark, lakeLong, kbPath, reuseEmbeddings = Some(d3l.embeddings))
     val aurum = Aurum.index(spark, lakeLong)
     val saGraph = JoinPaths.buildGraph(spark, d3l, cfg)
     Fixture(lake, lakeLong, cfg, d3l, tus, aurum, saGraph,
@@ -78,20 +78,6 @@ object Harness {
     EvidenceWeights.train(spark, f.d3l, f.lake, trainTargets, f.cfg)
   }
 
-  private def collectRanks(df: DataFrame): Seq[Metrics.Ranked] = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    df.select("t_table", "s_table", "rank").as[(String, String, Int)].collect()
-      .map { case (t, s, r) => Metrics.Ranked(t, s, r) }.toSeq
-  }
-
-  private def collectAligns(df: DataFrame): Seq[Metrics.Align] = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    df.select("t_table", "t_col", "s_table", "s_col").as[(String, Int, String, Int)].collect()
-      .map { case (t, tc, s, sc) => Metrics.Align(t, tc, s, sc) }.toSeq
-  }
-
   /** D³L's batched query over the fixture's targets, under Eq. 3 `weights` if given. */
   def queryD3L(spark: SparkSession, f: Fixture, weights: Option[Map[String, Double]] = None): D3L.QueryResult =
     D3L.queryAll(spark, f.d3l, f.targets, weights.fold(f.cfg)(w => f.cfg.copy(evidenceWeights = w)))
@@ -104,14 +90,16 @@ object Harness {
       res.ranked.groupBy(_.tTable).map { case (t, rs) => t -> rs.map(_.sTable).toSet })
   }
 
-  def runTus(spark: SparkSession, f: Fixture): SystemRun = {
-    val res = Tus.queryAll(spark, f.tus, f.targets)
-    SystemRun(collectRanks(res.ranking), collectAligns(res.alignments), Map.empty)
+  def runTus(f: Fixture): SystemRun = {
+    val res = Tus.queryAll(f.tus, f.targets)
+    SystemRun(res.ranked.map(r => Metrics.Ranked(r.tTable, r.sTable, r.rank)),
+      res.aligned.map(a => Metrics.Align(a.tTable, a.tCol, a.sTable, a.sCol)), Map.empty)
   }
 
-  def runAurum(spark: SparkSession, f: Fixture): SystemRun = {
-    val res = Aurum.queryAll(spark, f.aurum, f.targets)
-    SystemRun(collectRanks(res.ranking), collectAligns(res.alignments), Map.empty)
+  def runAurum(f: Fixture): SystemRun = {
+    val res = Aurum.queryAll(f.aurum, f.targets)
+    SystemRun(res.ranked.map(r => Metrics.Ranked(r.tTable, r.sTable, r.rank)),
+      res.aligned.map(a => Metrics.Align(a.tTable, a.tCol, a.sTable, a.sCol)), Map.empty)
   }
 
   /** D³L+J reachability closure for a given k: Algorithm 3 over the SA-join

@@ -44,19 +44,15 @@ object Ccdf {
     }
   }
 
-  /** First index with value ≥ d. */
-  def lowerBound(sorted: Seq[Double], d: Double): Int = lowerBound(sorted.toArray, d)
-
-  /** First index with value > d. */
-  def upperBound(sorted: Seq[Double], d: Double): Int = upperBound(sorted.toArray, d)
-
-  private def lowerBound(sorted: Array[Double], d: Double): Int = {
+  /** First index of `sorted` with value ≥ d. */
+  def lowerBound(sorted: Array[Double], d: Double): Int = {
     var lo = 0; var hi = sorted.length
     while (lo < hi) { val mid = (lo + hi) >>> 1; if (sorted(mid) < d) lo = mid + 1 else hi = mid }
     lo
   }
 
-  private def upperBound(sorted: Array[Double], d: Double): Int = {
+  /** First index of `sorted` with value > d. */
+  def upperBound(sorted: Array[Double], d: Double): Int = {
     var lo = 0; var hi = sorted.length
     while (lo < hi) { val mid = (lo + hi) >>> 1; if (sorted(mid) <= d) lo = mid + 1 else hi = mid }
     lo

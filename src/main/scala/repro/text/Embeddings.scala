@@ -56,12 +56,4 @@ object Embeddings {
     while (i < v.length) { s += v(i).toDouble * v(i); i += 1 }
     math.sqrt(s)
   }
-
-  def cosine(a: Array[Float], b: Array[Float]): Double = {
-    val na = norm(a); val nb = norm(b)
-    if (na == 0 || nb == 0) return 0.0
-    var dot = 0.0; var i = 0
-    while (i < a.length) { dot += a(i).toDouble * b(i); i += 1 }
-    dot / (na * nb)
-  }
 }

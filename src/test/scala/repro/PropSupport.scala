@@ -2,6 +2,7 @@ package repro
 
 import org.scalacheck.{Gen, Prop, Test => ScTest}
 import org.scalacheck.rng.Seed
+import repro.lake.{LakeColumn, LakeTable}
 
 /** Minimal ScalaCheck bridge (the scalatestplus adapter is not in the
   * offline cache): run a property and assert it passed.
@@ -38,4 +39,34 @@ trait PropSupport {
       1 -> Gen.const(""),
       1 -> Gen.const[String](null))
   }
+
+  private val whitespace: Gen[String] = Gen.oneOf(" ", "   ", "\t", " \u00A0 ")
+  private val numbers: Gen[String] = Gen.oneOf(
+    Gen.choose(-99, 999).map(_.toString), Gen.choose(0, 9999).map(i => s"${i / 100}.${i % 100}"))
+
+  private def columnGen(pool: Seq[String], nRows: Int, allNumeric: Boolean): Gen[LakeColumn] = for {
+    name <- Gen.frequency(6 -> Gen.oneOf("id", "name", "city", "code", "amount"), 1 -> Gen.const(""))
+    numeric <- if (allNumeric) Gen.const(true) else Gen.frequency(1 -> true, 3 -> false)
+    values <- Gen.listOfN(nRows,
+      if (numeric) numbers else Gen.frequency(4 -> Gen.oneOf(pool), 1 -> textValues, 1 -> whitespace))
+  } yield LakeColumn(name, values.toIndexedSeq, "generated", isSubject = false)
+
+  private def tableGen(i: Int, pool: Seq[String]): Gen[LakeTable] = for {
+    prefix <- Gen.oneOf("t", "t#", "a#b#")
+    nRows <- Gen.frequency(1 -> Gen.const(1), 3 -> Gen.choose(2, 6))
+    allNumeric <- Gen.frequency(1 -> true, 4 -> false)
+    nCols <- Gen.frequency(1 -> Gen.const(1), 3 -> Gen.choose(2, 4))
+    cols <- Gen.listOfN(nCols, columnGen(pool, nRows, allNumeric))
+  } yield LakeTable(s"$prefix$i", "generated", cols.toIndexedSeq)
+
+  /** Small lakes whose tables draw text cells from one shared pool, so that
+    * they overlap: empty, null and whitespace-only cells, all-numeric,
+    * single-row and single-column tables, `#` in table ids, empty and
+    * duplicate column names.
+    */
+  val generatedLakes: Gen[IndexedSeq[LakeTable]] = for {
+    pool <- Gen.listOfN(6, Gen.frequency(4 -> textValues, 1 -> whitespace, 1 -> numbers))
+    nTables <- Gen.choose(2, 5)
+    tables <- Gen.sequence[List[LakeTable], LakeTable]((0 until nTables).map(tableGen(_, pool)))
+  } yield tables.toIndexedSeq
 }

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +19,36 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark jobs `body` starts on this thread. Listener events arrive in
+    * order: once a marker job is seen, every job `body` started has been
+    * seen too.
+    */
+  def jobsStartedBy(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger()
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
+          case Some("under-test") => jobs.incrementAndGet()
+          case Some("under-test-marker") => marker.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("under-test", "jobs under test")
+      body
+      sc.setJobGroup("under-test-marker", "listener marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(marker.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    jobs.get
+  }
 }
 
 object SparkSpec {

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.JoinPaths
+import repro.core.{D3LConfig, JoinPaths}
 import repro.lake.{Generators, LakeDf}
 
 class AurumSpec extends SparkSpec {
@@ -10,25 +10,25 @@ class AurumSpec extends SparkSpec {
   private lazy val lake = Generators.smallerReal(nClusters = 3, tablesPerCluster = 5, poolSize = 60, seed = 71)
   private lazy val idx = Aurum.index(spark, LakeDf.toLong(spark, lake.tables))
   private lazy val targets = lake.tables.take(3).map(_.id)
-  private lazy val result = Aurum.queryAll(spark, idx, targets)
+  private lazy val result = Aurum.queryAll(idx, targets)
 
   test("EKG has edges") {
-    assert(idx.edges.count() > 0)
+    assert(idx.edges.nonEmpty)
   }
 
   test("edges respect the similarity threshold") {
-    val bad = idx.edges.filter(col("sim") < Aurum.EdgeThreshold).count()
+    val bad = idx.edges.count(_.sim < Aurum.EdgeThreshold)
     assert(bad == 0)
   }
 
   test("edges never connect a table to itself") {
-    assert(idx.edges.filter(col("a_table") === col("b_table")).count() == 0)
+    assert(idx.edges.count(e => e.aTable == e.bTable) == 0)
   }
 
-  test("adjacency is the collected mirror of the edge frame") {
-    val dfCount = idx.edges.count()
-    val adjCount = idx.adjacency.values.map(_.size).sum / 2 // each edge under both tables
-    assert(adjCount == dfCount, s"df=$dfCount adj=$adjCount")
+  test("each edge is one ordered attribute pair, held once") {
+    assert(idx.edges.forall(e => e.aAttr < e.bAttr))
+    assert(idx.edges.map(e => (e.aAttr, e.bAttr)).distinct.size == idx.edges.size)
+    assert(idx.edges.forall(e => e.aAttr == s"${e.aTable}#${e.aCol}" && e.bAttr == s"${e.bTable}#${e.bCol}"))
   }
 
   test("profiles exist for all three measures") {
@@ -38,25 +38,35 @@ class AurumSpec extends SparkSpec {
 
   test("ranking is dense with certainty scores") {
     targets.foreach { t =>
-      val rows = result.ranking.filter(col("t_table") === t).orderBy("rank").collect()
-      assert(rows.map(_.getAs[Int]("rank")).toSeq == (1 to rows.length))
-      val scores = rows.map(_.getAs[Double]("score")).toSeq
+      val rows = result.ranked.filter(_.tTable == t)
+      assert(rows.map(_.rank) == (1 to rows.length))
+      val scores = rows.map(_.score)
       assert(scores == scores.sorted.reverse) // certainty: descending
     }
   }
 
+  // The EKG graph query for one target is Aurum.queryAll of that target alone: it ranks
+  // exactly the tables the target's edges reach, each at its best edge.
   test("graphQuery matches the edge structure for a target") {
     val t = targets.head
-    val fromGraph = Aurum.graphQuery(idx, t).map(_._1).toSet
-    val fromDf = result.ranking.filter(col("t_table") === t)
-      .select("s_table").collect().map(_.getString(0)).toSet
-    assert(fromGraph == fromDf)
+    val fromEdges = idx.edges.collect {
+      case e if e.aTable == t => e.bTable -> e.sim
+      case e if e.bTable == t => e.aTable -> e.sim
+    }.groupMapReduce(_._1)(_._2)(math.max)
+    val ranked = Aurum.queryAll(idx, Seq(t)).ranked
+    assert(ranked.map(_.sTable).toSet == fromEdges.keySet)
+    assert(ranked.map(r => r.sTable -> r.score).toMap == fromEdges)
+    assert(ranked == result.ranked.filter(_.tTable == t), "single-target and batched rankings differ")
   }
 
+  // Descending score; ties go to more covered columns, then to the smaller table id.
   test("graphQuery is sorted by descending similarity") {
-    val res = Aurum.graphQuery(idx, targets.head)
-    val sims = res.map(_._2)
+    val res = Aurum.queryAll(idx, Seq(targets.head)).ranked
+    val sims = res.map(_.score)
     assert(sims == sims.sorted.reverse)
+    res.zip(res.drop(1)).foreach { case (a, b) =>
+      if (a.score == b.score) assert(a.nCov > b.nCov || (a.nCov == b.nCov && a.sTable < b.sTable), s"$a before $b")
+    }
   }
 
   test("numeric range edges can relate numeric columns") {
@@ -65,10 +75,7 @@ class AurumSpec extends SparkSpec {
     // assert the pipeline produced *some* edge between numeric attributes.
     val numericAttrs = idx.catalog.filter(col("is_numeric")).select("attr")
       .collect().map(_.getString(0)).toSet
-    val numEdges = idx.edges.collect().count { r =>
-      numericAttrs.contains(r.getAs[String]("a_attr")) &&
-        numericAttrs.contains(r.getAs[String]("b_attr"))
-    }
+    val numEdges = idx.edges.count(e => numericAttrs.contains(e.aAttr) && numericAttrs.contains(e.bAttr))
     assert(numEdges > 0, "expected at least one numeric-numeric edge")
   }
 
@@ -84,7 +91,7 @@ class AurumSpec extends SparkSpec {
       val graph = JoinPaths.SaJoinGraph(idx.pkfkTableEdges)
       val start = idx.pkfkTableEdges.keys.head
       val others = idx.pkfkTableEdges(start)
-      val blocked = JoinPaths.reachable(graph, topK = others + start, _ => true, start)
+      val blocked = JoinPaths.reachable(graph, topK = others + start, _ => true, start, D3LConfig().maxPathLen)
       assert((blocked intersect others).isEmpty)
       assert(JoinPaths.reachable(graph, Set(start), _ => true, start, maxLen = 1).isEmpty)
       assert(JoinPaths.reachable(graph, Set(start), _ => true, start, maxLen = 2) == others)
@@ -96,16 +103,21 @@ class AurumSpec extends SparkSpec {
     val hashed = plain.map(t => t.copy(id = s"lake#${t.id}"))
     def edges(tables: Seq[repro.lake.LakeTable], strip: String => String) =
       Aurum.index(spark, LakeDf.toLong(spark, tables)).edges
-        .select("a_table", "a_col", "b_table", "b_col", "sim").collect()
-        .map(r => (strip(r.getString(0)), r.getInt(1), strip(r.getString(2)), r.getInt(3), r.getDouble(4))).toSet
+        .map(e => (strip(e.aTable), e.aCol, strip(e.bTable), e.bCol, e.sim)).toSet
     val want = edges(plain, identity)
     assert(want.nonEmpty)
     assert(edges(hashed, _.stripPrefix("lake#")) == want)
   }
 
   test("top of the Aurum ranking is enriched in truly related tables") {
-    val top3 = result.ranking.filter(col("rank") <= 3).select("t_table", "s_table").collect()
-    val hits = top3.count(r => lake.truth.related(r.getString(0), r.getString(1)))
+    val top3 = result.ranked.filter(_.rank <= 3)
+    val hits = top3.count(r => lake.truth.related(r.tTable, r.sTable))
     assert(hits >= 1, s"$hits/${top3.length}")
+  }
+
+  test("queryAll starts no Spark job") {
+    idx // index built before measuring
+    val jobs = jobsStartedBy(Aurum.queryAll(idx, lake.tables.map(_.id)))
+    assert(jobs == 0, s"$jobs Spark jobs started by Aurum.queryAll")
   }
 }

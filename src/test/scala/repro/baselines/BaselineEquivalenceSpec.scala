@@ -1,0 +1,103 @@
+package repro.baselines
+
+import java.nio.file.Files
+import repro.{PropSupport, SparkSpec}
+import repro.lake.{Generators, LakeDf, LakeTable}
+
+/** The served TUS and Aurum queries (plain Scala on the driver) answer as
+  * their Spark-SQL reference ([[BaselineSqlReference]]) does, on the
+  * `TusSpec`/`AurumSpec` lakes, on those lakes with `#` in every table id,
+  * and on generated lakes.
+  *  - Aurum: rankings (score, covered columns, rank) and alignments are
+  *    equal exactly.
+  *  - TUS: alignments are equal exactly; scores agree within 1e-12 (a sum's
+  *    order is not fixed in Spark); ranks are equal except inside groups of
+  *    reference scores within 1e-12 of each other.
+  */
+class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
+
+  private val Eps = 1e-12
+
+  private lazy val kb = SyntheticKB.createDb(
+    Files.createTempDirectory("tuskb").resolve("kb.duckdb").toString)
+  private lazy val tusLake = Generators.synthetic(nBases = 4, derivedPerBase = 5, baseRows = 60, seed = 61).tables
+  private lazy val aurumLake = Generators.smallerReal(nClusters = 3, tablesPerCluster = 5, poolSize = 60, seed = 71).tables
+
+  private def hashed(tables: Seq[LakeTable]): Seq[LakeTable] = tables.map(t => t.copy(id = s"lake#${t.id}"))
+
+  private def assertSameTus(what: String, got: Tus.TusResult, want: Tus.TusResult): Unit = {
+    def byPair(as: Seq[Tus.Aligned]) = as.map(a => (a.tTable, a.tCol, a.sTable, a.sCol) -> a.bestP).toMap
+    assert(byPair(got.aligned).size == got.aligned.size, s"$what: an attribute pair is aligned twice")
+    assert(byPair(got.aligned) == byPair(want.aligned), s"$what: alignments differ")
+    val (g, w) = (got.ranked.groupBy(_.tTable), want.ranked.groupBy(_.tTable))
+    assert(g.keySet == w.keySet, s"$what: different targets answered")
+    g.foreach { case (t, rs) =>
+      val ws = w(t).sortBy(_.rank)
+      assert(rs.map(_.rank) == (1 to rs.size), s"$what/$t: ranks not 1..n in order")
+      assert(rs.map(_.sTable).toSet == ws.map(_.sTable).toSet, s"$what/$t: different candidate tables")
+      val wantBy = ws.map(r => r.sTable -> r).toMap
+      rs.foreach { r =>
+        val x = wantBy(r.sTable)
+        assert(math.abs(r.score - x.score) <= Eps, s"$what/$t/${r.sTable}: score ${r.score} vs ${x.score}")
+        if (r.rank != x.rank)
+          assert(math.abs(ws(r.rank - 1).score - x.score) <= Eps, s"$what/$t/${r.sTable}: rank ${r.rank} vs ${x.rank}, not a tie")
+      }
+    }
+  }
+
+  private def assertSameAurum(what: String, got: Aurum.AurumResult, want: Aurum.AurumResult): Unit = {
+    assert(got.ranked.size == want.ranked.size && got.ranked.toSet == want.ranked.toSet, s"$what: rankings differ")
+    assert(got.aligned.size == want.aligned.size && got.aligned.toSet == want.aligned.toSet, s"$what: alignments differ")
+    got.ranked.groupBy(_.tTable).foreach { case (t, rs) =>
+      assert(rs.map(_.rank) == (1 to rs.size), s"$what/$t: ranks not 1..n in order")
+    }
+  }
+
+  /** Every table of `tables` as a batched TUS target, and `queryTable` of
+    * the first table, once as a lake member excluding the second table and
+    * once renamed, excluding its lake copy.
+    */
+  private def checkTus(what: String, tables: Seq[LakeTable]): Unit = {
+    val idx = Tus.index(spark, LakeDf.toLong(spark, tables), kb)
+    try {
+      val ids = tables.map(_.id)
+      val served = Tus.queryAll(idx, ids)
+      assert(served.ranked.map(_.tTable).distinct == ids.filter(served.ranked.map(_.tTable).toSet), s"$what: target order")
+      assertSameTus(s"$what queryAll", served, BaselineSqlReference.tusQueryAll(spark, idx, ids))
+      val (t, other) = (tables.head, tables(1))
+      Seq(t -> Some(other.id), t.copy(id = s"copy-of-${t.id}") -> Some(t.id)).foreach { case (target, ex) =>
+        assertSameTus(s"$what queryTable(${target.id}, excluding $ex)", Tus.queryTable(spark, idx, target, ex),
+          BaselineSqlReference.tusQueryTable(spark, idx, target, ex))
+      }
+    } finally idx.unpersistAll()
+  }
+
+  private def checkAurum(what: String, tables: Seq[LakeTable]): Unit = {
+    val idx = Aurum.index(spark, LakeDf.toLong(spark, tables))
+    val ids = tables.map(_.id)
+    assertSameAurum(what, Aurum.queryAll(idx, ids), BaselineSqlReference.aurumQueryAll(spark, idx, ids))
+  }
+
+  test("served TUS answers equal the Spark-SQL reference on the TusSpec lake") {
+    checkTus("TusSpec lake", tusLake.take(12))
+  }
+
+  test("served TUS answers equal the Spark-SQL reference with '#' in every table id") {
+    checkTus("hashed TusSpec lake", hashed(tusLake.take(8)))
+  }
+
+  test("served Aurum answers equal the Spark-SQL reference on the AurumSpec lake") {
+    checkAurum("AurumSpec lake", aurumLake)
+  }
+
+  test("served Aurum answers equal the Spark-SQL reference with '#' in every table id") {
+    checkAurum("hashed AurumSpec lake", hashed(aurumLake))
+  }
+
+  test("on generated lakes, served TUS and Aurum answers equal the Spark-SQL reference") {
+    forAllGen(generatedLakes, minSuccessful = 3, seed = Some(11L)) { tables =>
+      checkTus("generated lake", tables)
+      checkAurum("generated lake", tables)
+    }
+  }
+}

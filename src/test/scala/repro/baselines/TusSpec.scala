@@ -10,9 +10,9 @@ class TusSpec extends SparkSpec {
   private lazy val kb = SyntheticKB.createDb(
     Files.createTempDirectory("tuskb").resolve("kb.duckdb").toString)
   private lazy val lake = Generators.synthetic(nBases = 4, derivedPerBase = 5, baseRows = 60, seed = 61)
-  private lazy val idx = Tus.index(spark, LakeDf.toLong(spark, lake.tables), kb).cacheAll()
+  private lazy val idx = Tus.index(spark, LakeDf.toLong(spark, lake.tables), kb)
   private lazy val targets = lake.tables.take(3).map(_.id)
-  private lazy val result = Tus.queryAll(spark, idx, targets)
+  private lazy val result = Tus.queryAll(idx, targets)
 
   test("TUS indexes only textual attributes in SET/SEM/NL") {
     val numericAttrs = idx.catalog.filter(col("is_numeric")).select("attr")
@@ -31,30 +31,39 @@ class TusSpec extends SparkSpec {
     assert(idx.signatures.filter(col("measure") === Tus.Sem).count() > 0)
   }
 
+  test("the collected attributes hold exactly the signatures frame, in (table, column) order") {
+    val frame = idx.signatures.select("table_id", "col_idx", "measure", "sig").collect()
+      .map(r => (r.getString(0), r.getInt(1), r.getString(2), r.getSeq[Long](3))).toSet
+    val collected = for {
+      a <- idx.attrs
+      (m, sig) <- Tus.measures.zip(a.sigs) if sig.nonEmpty
+    } yield (a.tableId, a.colIdx, m, sig.toSeq)
+    assert(collected.size == frame.size && collected.toSet == frame)
+    assert(idx.attrs.map(a => (a.tableId, a.colIdx)) == idx.attrs.map(a => (a.tableId, a.colIdx)).sorted)
+  }
+
   test("ranking is dense per target with scores in [0,1]") {
     targets.foreach { t =>
-      val rows = result.ranking.filter(col("t_table") === t)
-        .orderBy("rank").collect()
-      assert(rows.map(_.getAs[Int]("rank")).toSeq == (1 to rows.length))
-      rows.foreach(r => assert(r.getAs[Double]("score") >= 0 && r.getAs[Double]("score") <= 1))
+      val rows = result.ranked.filter(_.tTable == t)
+      assert(rows.map(_.rank) == (1 to rows.length))
+      rows.foreach(r => assert(r.score >= 0 && r.score <= 1))
     }
   }
 
   test("no self-matches") {
-    assert(result.ranking.filter(col("t_table") === col("s_table")).count() == 0)
+    assert(!result.ranked.exists(r => r.tTable == r.sTable))
   }
 
   test("on the clean synthetic lake, same-base tables rank near the top") {
-    val top3 = result.ranking.filter(col("rank") <= 3)
-      .select("t_table", "s_table").collect()
-    val hits = top3.count(r => lake.truth.related(r.getString(0), r.getString(1)))
+    val top3 = result.ranked.filter(_.rank <= 3)
+    val hits = top3.count(r => lake.truth.related(r.tTable, r.sTable))
     assert(hits >= top3.length / 3, s"$hits/${top3.length}")
   }
 
   test("alignments carry valid column indices") {
-    result.alignments.collect().foreach { r =>
-      assert(r.getAs[Int]("t_col") >= 0)
-      assert(r.getAs[Int]("s_col") >= 0)
+    result.aligned.foreach { a =>
+      assert(a.tCol >= 0)
+      assert(a.sCol >= 0)
     }
   }
 
@@ -63,9 +72,9 @@ class TusSpec extends SparkSpec {
     val hashed = plain.map(t => t.copy(id = s"lake#${t.id}"))
     def aligned(tables: Seq[repro.lake.LakeTable], strip: String => String) = {
       val i = Tus.index(spark, LakeDf.toLong(spark, tables), kb)
-      Tus.queryAll(spark, i, tables.take(2).map(_.id)).alignments
-        .select("t_table", "t_col", "s_table", "s_col", "best_p").collect()
-        .map(r => (strip(r.getString(0)), r.getInt(1), strip(r.getString(2)), r.getInt(3)) -> r.getDouble(4)).toMap
+      try Tus.queryAll(i, tables.take(2).map(_.id)).aligned
+        .map(a => (strip(a.tTable), a.tCol, strip(a.sTable), a.sCol) -> a.bestP).toMap
+      finally i.unpersistAll()
     }
     val want = aligned(plain, identity)
     assert(want.nonEmpty)
@@ -75,7 +84,34 @@ class TusSpec extends SparkSpec {
   test("queryTable works for an ad-hoc target and can exclude its lake copy") {
     val t = lake.tables.head
     val single = Tus.queryTable(spark, idx, t, excludeId = Some(t.id))
-    assert(single.ranking.filter(col("s_table") === t.id).count() == 0)
-    assert(single.ranking.count() > 0)
+    assert(!single.ranked.exists(_.sTable == t.id))
+    assert(single.ranked.nonEmpty)
+  }
+
+  test("queryTable drops excludeId and the target's own id at the probe") {
+    val (t, other) = (lake.tables.head, lake.tables(1))
+    val renamed = Tus.queryTable(spark, idx, t.copy(id = s"copy-of-${t.id}"), excludeId = Some(other.id))
+    assert(renamed.ranked.exists(_.sTable == t.id), "the lake copy of a renamed target is a candidate")
+    val member = Tus.queryTable(spark, idx, t, excludeId = Some(other.id))
+    Seq(renamed, member).foreach { res =>
+      assert(!res.ranked.exists(_.sTable == other.id) && !res.aligned.exists(_.sTable == other.id))
+      assert(res.ranked.map(_.rank) == (1 to res.ranked.size), "ranks leave a gap")
+    }
+    assert(!member.ranked.exists(_.sTable == t.id))
+  }
+
+  test("queryAll starts no Spark job") {
+    idx // index built before measuring
+    val jobs = jobsStartedBy(Tus.queryAll(idx, lake.tables.map(_.id)))
+    assert(jobs == 0, s"$jobs Spark jobs started by Tus.queryAll")
+  }
+
+  test("queryTable leaves no persisted RDD behind") {
+    val sc = spark.sparkContext
+    idx // index built before the snapshot
+    val before = sc.getPersistentRDDs.keySet
+    val t = lake.tables.head
+    Tus.queryTable(spark, idx, t, excludeId = Some(t.id))
+    assert(sc.getPersistentRDDs.keySet == before, "queryTable left persisted RDDs behind")
   }
 }

@@ -1,11 +1,9 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
 import repro.lake.{Generators, LakeDf}
 
 /** End-to-end discovery tests on a small dirty lake with planted ground
@@ -13,7 +11,7 @@ import repro.lake.{Generators, LakeDf}
   * ranking, evidence columns must behave per §III, and Algorithm 2's guards
   * must hold.
   */
-class D3LSpec extends SparkSpec {
+class D3LSpec extends SparkSpec with PropSupport {
 
   private lazy val lake = Generators.smallerReal(nClusters = 3, tablesPerCluster = 5, poolSize = 80, seed = 31)
   private lazy val long = LakeDf.toLong(spark, lake.tables).cache()
@@ -243,36 +241,6 @@ class D3LSpec extends SparkSpec {
     assert(e.getMessage.contains("no-such-table"))
   }
 
-  /** Spark jobs `body` starts on this thread. Listener events arrive in
-    * order: once a marker job is seen, every job `body` started has been
-    * seen too.
-    */
-  private def jobsStartedBy(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger()
-    val marker = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))) match {
-          case Some("under-test") => jobs.incrementAndGet()
-          case Some("under-test-marker") => marker.countDown()
-          case _ =>
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup("under-test", "jobs under test")
-      body
-      sc.setJobGroup("under-test-marker", "listener marker")
-      sc.parallelize(Seq(1), 1).count()
-      assert(marker.await(60, TimeUnit.SECONDS), "marker job never reached the listener")
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
-    }
-    jobs.get
-  }
-
   test("D3L.index rejects a column with two names or two cells in one row, naming them") {
     val t = lake.tables.head
     val good = LakeDf.toLong(spark, Seq(t))
@@ -300,6 +268,33 @@ class D3LSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
       assert(e.getMessage.contains(message(t.id, t.columns(1).name)), e.getMessage)
     }
+
+  test("D3L.index rejects one malformed cell of each kind in generated lakes, naming the table, column and row") {
+    val cells = for {
+      tables <- generatedLakes
+      t <- Gen.oneOf(tables)
+      ci <- Gen.choose(0, t.arity - 1)
+      ri <- Gen.choose(0, t.numRows - 1)
+    } yield (tables, t, ci, ri)
+    forAllGen(cells, minSuccessful = 4, seed = Some(20261019L)) { case (tables, t, ci, ri) =>
+      val good = LakeDf.toLong(spark, tables)
+      val cell = col("table_id") === t.id && col("col_idx") === ci && col("row_idx") === ri
+      def set(column: String, v: Column) = good.withColumn(column, when(cell, v).otherwise(col(column)))
+      val name = t.columns(ci).name
+      val renamedNextRow = good.filter(cell).withColumn("row_idx", lit(t.numRows.toLong)).withColumn("col_name", lit("renamed"))
+      Seq(
+        set("table_id", lit(null).cast("string")) -> s"null table id at column $ci ('$name'), row $ri",
+        set("table_id", lit("")) -> s"empty table id at column $ci ('$name'), row $ri",
+        set("col_idx", lit(-1)) -> s"table '${t.id}' has a negative column index -1 ('$name') in row $ri",
+        good.union(renamedNextRow) ->
+          s"table '${t.id}' column $ci has two names, '$name' in row ${t.numRows - 1} and 'renamed' in row ${t.numRows}",
+        good.union(good.filter(cell).withColumn("value", lit("x"))) -> s"table '${t.id}' column $ci has two cells in row $ri",
+      ).foreach { case (bad, message) =>
+        val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
+        assert(e.getMessage.contains(message), e.getMessage)
+      }
+    }
+  }
 
   test("row_idx only orders a column's values: negative row indexes index like their shifted non-negative ones") {
     val shifted = D3L.index(spark, long.withColumn("row_idx", col("row_idx") - 1000L))

@@ -115,13 +115,13 @@ class JoinPathsSpec extends SparkSpec with PropSupport {
   }
 
   test("reachable returns path members minus the start") {
-    val r = JoinPaths.reachable(g, Set("s1"), Set("x1", "x2", "x3"), "s1")
+    val r = JoinPaths.reachable(g, Set("s1"), Set("x1", "x2", "x3"), "s1", D3LConfig().maxPathLen)
     assert(r == Set("x1", "x2", "x3"))
   }
 
   test("disconnected start yields no paths") {
     assert(JoinPathsReference.findJoinPaths(g, Set("s2"), Set("x1"), "s2").isEmpty)
-    assert(JoinPaths.reachable(g, Set("s2"), Set("x1"), "s2").isEmpty)
+    assert(JoinPaths.reachable(g, Set("s2"), Set("x1"), "s2", D3LConfig().maxPathLen).isEmpty)
   }
 
   /** An undirected graph over up to 8 nodes, with a start node, a top-k

@@ -2,7 +2,7 @@ package repro.lsh
 
 import org.scalacheck.Gen
 import repro.{PropSupport, SparkSpec}
-import repro.text.Embeddings
+import repro.text.{CosineReference, Embeddings}
 
 class RandomProjectionSpec extends SparkSpec with PropSupport {
 
@@ -48,7 +48,7 @@ class RandomProjectionSpec extends SparkSpec with PropSupport {
     val rnd = new scala.util.Random(8)
     // b = a + noise → high but not perfect cosine.
     val b = a.map(x => x + 0.5f * rnd.nextGaussian().toFloat)
-    val truth = Embeddings.cosine(a, b)
+    val truth = CosineReference.cosine(a, b)
     val est = RandomProjection.estimateCosine(RandomProjection.signature(a), RandomProjection.signature(b))
     assert(math.abs(truth - est) < 0.15, s"truth=$truth est=$est")
   }

@@ -50,7 +50,7 @@ class CcdfSpec extends SparkSpec {
   }
 
   test("lowerBound/upperBound bracket equal runs") {
-    val s = Seq(0.1, 0.2, 0.2, 0.2, 0.5)
+    val s = Array(0.1, 0.2, 0.2, 0.2, 0.5)
     assert(Ccdf.lowerBound(s, 0.2) == 1)
     assert(Ccdf.upperBound(s, 0.2) == 4)
     assert(Ccdf.lowerBound(s, 0.0) == 0)
