@@ -12,7 +12,7 @@ class Exp2SyntheticPRBench extends SparkSpec {
   import BenchFixtures._
 
   test("Experiment 2: comparative P/R on Synthetic") {
-    val rows = Experiments.comparativePr(spark, synthetic, ks, synD3l, synTus, synAurum)
+    val rows = Experiments.comparativePr(synthetic, ks, synD3l, synTus, synAurum)
     banner("Experiment 2 — comparative P/R (Synthetic)")
     println(Experiments.fmtPr(rows))
     println(f"[weights] trained Eq.3 weights = ${weights.toSeq.sortBy(_._1)}")

@@ -12,7 +12,7 @@ class Exp3SmallerRealPRBench extends SparkSpec {
   import BenchFixtures._
 
   test("Experiment 3: comparative P/R on Smaller Real") {
-    val rows = Experiments.comparativePr(spark, smallerReal, ks, srD3l, srTus, srAurum)
+    val rows = Experiments.comparativePr(smallerReal, ks, srD3l, srTus, srAurum)
     banner("Experiment 3 — comparative P/R (Smaller Real)")
     println(Experiments.fmtPr(rows))
 

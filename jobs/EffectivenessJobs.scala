@@ -18,7 +18,7 @@ object Exp2Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("exp2-synthetic-pr")
     val (syn, _, w) = JobSupport.fixtures(spark)
-    val rows = Experiments.comparativePr(spark, syn, JobSupport.ks,
+    val rows = Experiments.comparativePr(syn, JobSupport.ks,
       Harness.runD3L(spark, syn, Some(w)), Harness.runTus(syn), Harness.runAurum(syn))
     println(Experiments.fmtPr(rows))
     spark.stop()
@@ -30,7 +30,7 @@ object Exp3Job {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("exp3-smaller-real-pr")
     val (_, sr, w) = JobSupport.fixtures(spark)
-    val rows = Experiments.comparativePr(spark, sr, JobSupport.ks,
+    val rows = Experiments.comparativePr(sr, JobSupport.ks,
       Harness.runD3L(spark, sr, Some(w)), Harness.runTus(sr), Harness.runAurum(sr))
     println(Experiments.fmtPr(rows))
     spark.stop()

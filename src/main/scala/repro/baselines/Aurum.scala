@@ -179,15 +179,12 @@ object Aurum {
       .cache()
     // Column indexes come from the catalog: table ids may contain '#'.
     val cols = catalog.select($"attr", $"col_idx")
-    // Cached, as when queries read it: the cached plan's partitioning fixes the
-    // edges' order, from which Exp. 7 draws its seeded row order (Table II).
-    val edgeFrame = allEdges
+    val edges = allEdges
       .filter($"sim" >= EdgeThreshold)
       .join(cols.select($"attr" as "a_attr", $"col_idx" as "a_col"), "a_attr")
       .join(cols.select($"attr" as "b_attr", $"col_idx" as "b_col"), "b_attr")
       .select("a_attr", "a_table", "a_col", "b_attr", "b_table", "b_col", "sim")
-      .cache()
-    val edges = edgeFrame.as[(String, String, Int, String, String, Int, Double)].collect()
+      .as[(String, String, Int, String, String, Int, Double)].collect()
       .map { case (aa, at, ac, ba, bt, bc, s) => Edge(aa, at, ac, ba, bt, bc, s) }
 
     // --- PK/FK candidates for Aurum+J ---------------------------------------
@@ -206,7 +203,7 @@ object Aurum {
     val pkfkAdj = scala.collection.mutable.Map.empty[String, Set[String]].withDefaultValue(Set.empty)
     pkfk.foreach { case (x, y) => pkfkAdj(x) += y; pkfkAdj(y) += x }
 
-    lake.unpersist(); toks.unpersist(); attrTokens.unpersist(); allEdges.unpersist(); edgeFrame.unpersist()
+    lake.unpersist(); toks.unpersist(); attrTokens.unpersist(); allEdges.unpersist()
     AurumIndexes(catalog, signatures, buckets, edges.toIndexedSeq, pkfkAdj.toMap)
   }
 

@@ -68,11 +68,11 @@ object D3L {
   private val EvD = Evidence.all.indexOf(Evidence.D)
 
   /** Distance of two served signatures of evidence ordinal `e`: Jaccard
-    * estimate for ℕ/𝕍/𝔽, cosine estimate of the packed bits for 𝔼, both
+    * estimate for ℕ/𝕍/𝔽, cosine estimate of the simhash bits for 𝔼, both
     * mapped to [0,1] distances.
     */
   private def distance(e: Int, a: Array[Long], b: Array[Long]): Double =
-    if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosinePacked(a, b)))
+    if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
     else 1.0 - MinHash.estimateJaccard(a, b)
 
   /** Build the lake's index on Spark into its driver-resident form, its

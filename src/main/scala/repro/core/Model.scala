@@ -60,7 +60,7 @@ final case class AttrFeatures(
     tsetSize: Long,
     /** Signature per indexed evidence ordinal of [[Evidence.all]] (ℕ, 𝕍, 𝔽,
       * 𝔼), as [[ServedAttr.sigs]] indexes them; empty when the attribute has
-      * none. 𝔼 is held in its 0/1 form.
+      * none. 𝔼 is a packed `lsh.RandomProjection` signature of 4 `Long`s.
       */
     sigs: Array[Array[Long]],
     /** Sorted numeric sample (𝔻); None for non-numeric attributes. */

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
-import repro.lsh.{Banding, RandomProjection}
+import repro.lsh.Banding
 
 /** One attribute as the serving index holds it, or a query target resolved
   * against it ([[ServingIndex.targets]]). Evidence ordinals index
@@ -18,8 +18,8 @@ final case class ServedAttr(
     tsetSize: Long,
     /** Predicted subject attribute of its table. */
     subject: Boolean,
-    /** Signature per indexed evidence ordinal; empty when it has none. The
-      * 𝔼 signature is held [[RandomProjection.pack]]ed into 4 `Long`s.
+    /** Signature per indexed evidence ordinal, as extracted
+      * ([[AttrFeatures.sigs]], the same arrays); empty when it has none.
       */
     sigs: Array[Array[Long]],
     /** Ids of the lake's buckets holding the attribute, per indexed evidence
@@ -43,8 +43,9 @@ final case class ServedAttr(
   * dedupes and accumulates into arrays instead of hashing strings. A bucket
   * is found by its slot, a dense id of its (evidence, band), and its `Long`
   * hash. Per attribute it holds ≈228 bucket ids (60 each for ℕ/𝕍/𝔽, 48 for
-  * 𝔼), up to three 256-long MinHash signatures, a 4-long 𝔼 signature and at
-  * most `maxNumericSample` doubles.
+  * 𝔼); its signatures (up to three 256-long MinHash ones and a 4-long 𝔼 one)
+  * and its sample of at most `maxNumericSample` doubles are the arrays of
+  * its [[AttrFeatures]], not copies.
   */
 final class ServingIndex private (
     val attrs: IndexedSeq[ServedAttr],
@@ -93,8 +94,6 @@ final class ServingIndex private (
 
 object ServingIndex {
 
-  private val EvE = Evidence.indexed.indexOf(Evidence.E)
-
   /** Banding levels per indexed evidence ordinal: the MinHash levels for
     * ℕ/𝕍/𝔽, the simhash levels for 𝔼.
     */
@@ -131,9 +130,8 @@ object ServingIndex {
           val hs = Banding.hashes(a.sigs(e), levels(e))
           Array.tabulate(hs.length)(i => bucket(slotBase(e) + i, hs(i))).filter(_ >= 0)
         }
-        val sigs = a.sigs.updated(EvE, if (a.sigs(EvE).isEmpty) a.sigs(EvE) else RandomProjection.pack(a.sigs(EvE)))
         attrs += ServedAttr(attrs.size, t.tableId, ti, a.colIdx, a.tsetSize, t.subject.contains(a.colIdx),
-          sigs, buckets, a.sample)
+          a.sigs, buckets, a.sample)
       }
     }
     ArraySeq.from(attrs)

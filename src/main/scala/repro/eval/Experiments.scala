@@ -49,9 +49,8 @@ object Experiments {
 
   // ---- Experiments 2/3: comparative P/R (Figs. 4/5) ------------------------
 
-  def comparativePr(spark: SparkSession, f: Harness.Fixture, ks: Seq[Int],
-                    d3lRun: Harness.SystemRun, tusRun: Harness.SystemRun,
-                    aurumRun: Harness.SystemRun): Seq[PrRow] = {
+  def comparativePr(f: Harness.Fixture, ks: Seq[Int], d3lRun: Harness.SystemRun,
+                    tusRun: Harness.SystemRun, aurumRun: Harness.SystemRun): Seq[PrRow] = {
     def rows(name: String, run: Harness.SystemRun): Seq[PrRow] = ks.map { k =>
       val (p, r) = Metrics.precisionRecallAtK(run.ranks, f.lake.truth, k)
       PrRow(name, k, p, r)

@@ -2,7 +2,7 @@ package repro.eval
 
 import java.nio.file.{Files, Paths}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.rand
+import org.apache.spark.sql.functions.{col, xxhash64}
 import repro.baselines.{Aurum, SyntheticKB, Tus}
 import repro.core._
 import repro.lake.{Lake, LakeDf}
@@ -127,12 +127,15 @@ object Harness {
 
   // ---- space accounting (Experiment 7 / Table II) --------------------------
 
-  /** One Parquet file per frame, rows in a seeded random order: Table II
-    * compares bytes, not file counts or how well a frame's row order happens
-    * to compress (EXPERIMENTS.md, Experiment 7).
+  /** One Parquet file per frame, rows in a pseudo-random order drawn from
+    * their content (the xxhash64 of every column), so the bytes depend on
+    * the rows alone, not on the order they arrive in: Table II compares
+    * bytes, not file counts or how well a frame's row order happens to
+    * compress (EXPERIMENTS.md, Experiment 7).
     */
   def writeParquet(df: DataFrame, path: String): Unit =
-    df.coalesce(1).sortWithinPartitions(rand(7)).write.mode("overwrite").parquet(path)
+    df.coalesce(1).sortWithinPartitions(xxhash64(df.columns.toSeq.map(col): _*))
+      .write.mode("overwrite").parquet(path)
 
   def dirBytes(path: String): Long = {
     val p = Paths.get(path)

@@ -28,10 +28,6 @@ final case class LakeTable(
 ) {
   def arity: Int = columns.size
   def numRows: Int = if (columns.isEmpty) 0 else columns.head.values.size
-  def subjectIdx: Option[Int] = {
-    val i = columns.indexWhere(_.isSubject)
-    if (i >= 0) Some(i) else None
-  }
 }
 
 final case class GroundTruth(

@@ -32,14 +32,16 @@ object Banding {
 
   /** Simhash (𝔼) granularities: bit-agreement baseline is ~0.5 for random
     * vectors, so shallow 1–2 bit prefixes would collide everything; stop at
-    * r=4.
+    * r=4. Under these levels a signature is a packed [[RandomProjection]]
+    * signature and row i is its bit i.
     */
   val simhashLevels: Seq[Level] = Seq(Level(8, 32), Level(4, 16))
 
   /** Bucket keys of a signature under the given levels: (band id, bucket
-    * hash), in banding order. Sentinel signatures (empty sets / zero
-    * vectors) produce no buckets, keeping empty attributes out of every
-    * index.
+    * hash), in banding order. Row i of a band is component i of a MinHash
+    * signature, or bit i of a packed simhash signature ([[simhashLevels]]).
+    * Empty signatures (zero vectors) and the MinHash sentinel (empty sets)
+    * produce no buckets, keeping empty attributes out of every index.
     */
   def buckets(sig: Array[Long], levels: Seq[Level]): Seq[(Int, Long)] = {
     val bandIds = levels.zipWithIndex.flatMap { case (Level(_, b), li) => (0 until b).map(li * 1000 + _) }
@@ -50,7 +52,8 @@ object Banding {
     * the p-th band in banding order.
     */
   def hashes(sig: Array[Long], levels: Seq[Level]): Array[Long] = {
-    if (sig.isEmpty || sig(0) == MinHash.EmptySentinel || sig(0) < 0) return Array.emptyLongArray
+    val bits = levels == simhashLevels
+    if (sig.isEmpty || (!bits && sig(0) == MinHash.EmptySentinel)) return Array.emptyLongArray
     val out = new Array[Long](levels.map(_.bands).sum)
     var o = 0
     levels.zipWithIndex.foreach { case (Level(r, b), li) =>
@@ -60,7 +63,7 @@ object Banding {
         var i = band * r
         val end = i + r
         while (i < end) {
-          val v = sig(i)
+          val v = if (bits) RandomProjection.bit(sig, i) else sig(i)
           h = MurmurHash3.mix(h, (v ^ (v >>> 32)).toInt)
           h = MurmurHash3.mix(h, v.toInt)
           i += 1
@@ -73,10 +76,4 @@ object Banding {
     }
     out
   }
-
-  /** Collision probability (≥1 shared bucket at any level) at per-component
-    * agreement probability s — used in tests.
-    */
-  def collisionProbability(s: Double, levels: Seq[Level]): Double =
-    1.0 - levels.map { case Level(r, b) => math.pow(1.0 - math.pow(s, r.toDouble), b.toDouble) }.product
 }

@@ -1,7 +1,5 @@
 package repro.stats
 
-import scala.collection.immutable.ArraySeq
-
 /** Empirical complementary-CDF weights (Eq. 2).
   *
   * The paper weights each observed distance D by 1 − P(d ≤ D) over the
@@ -18,14 +16,6 @@ import scala.collection.immutable.ArraySeq
 object Ccdf {
 
   val Epsilon = 1e-3
-
-  /** Weights for a batch of distances from one distribution R_t. */
-  def weights(distances: Seq[Double]): Seq[Double] = {
-    val d = distances.toArray
-    val w = new Array[Double](d.length)
-    weights(d, 0, d.length, w)
-    ArraySeq.unsafeWrapArray(w)
-  }
 
   /** Weights of `d(from until until)`, one distribution R_t, written to the
     * same positions of `out`.

@@ -15,8 +15,6 @@ package repro.text
   */
 object FormatRegex {
 
-  private val Classes = "CULNAP"
-
   /** Classify one non-whitespace token into its primitive class symbol:
     * the first of the paper's classes, in enumeration order, whose ASCII
     * pattern matches the whole token.
@@ -71,7 +69,4 @@ object FormatRegex {
     }
     sb.result()
   }
-
-  /** All primitive class symbols, exposed for tests. */
-  def classSymbols: Seq[Char] = Classes.toSeq
 }

@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.{D3LConfig, JoinPaths}
 import repro.lake.{Generators, LakeDf}
+import repro.lsh.{Banding, RandomProjection, SimhashReference}
 
 class AurumSpec extends SparkSpec {
 
@@ -34,6 +35,20 @@ class AurumSpec extends SparkSpec {
   test("profiles exist for all three measures") {
     val ms = idx.signatures.select("measure").distinct().collect().map(_.getString(0)).toSet
     assert(ms == Set(Aurum.An, Aurum.Ac, Aurum.At))
+  }
+
+  test("TF-IDF (AT) signatures are packed simhash bits, banded as the 0/1 bits are") {
+    def ofMeasure(df: org.apache.spark.sql.DataFrame) = df.filter(col("measure") === Aurum.At).collect().toSeq
+    val sigs = ofMeasure(idx.signatures.select("attr", "sig", "measure")).map(r => r.getString(0) -> r.getSeq[Long](1).toArray)
+    val frame = ofMeasure(idx.buckets.select("attr", "band", "bucket", "measure"))
+      .groupMap(_.getString(0))(r => (r.getInt(1), r.getLong(2)))
+    assert(sigs.exists(_._2.nonEmpty))
+    sigs.foreach { case (attr, sig) =>
+      assert(sig.isEmpty || sig.length == RandomProjection.NumBits / 64, s"$attr: ${sig.length} longs")
+      val want = SimhashReference.buckets(SimhashReference.unpack(sig), Banding.simhashLevels)
+      assert(Banding.buckets(sig, Banding.simhashLevels) == want, attr)
+      assert(frame.getOrElse(attr, Nil).sorted == want.sorted, attr)
+    }
   }
 
   test("ranking is dense with certainty scores") {

@@ -4,6 +4,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.lake.{Generators, LakeDf}
+import repro.lsh.{Banding, RandomProjection, SimhashReference}
 
 class TusSpec extends SparkSpec {
 
@@ -40,6 +41,20 @@ class TusSpec extends SparkSpec {
     } yield (a.tableId, a.colIdx, m, sig.toSeq)
     assert(collected.size == frame.size && collected.toSet == frame)
     assert(idx.attrs.map(a => (a.tableId, a.colIdx)) == idx.attrs.map(a => (a.tableId, a.colIdx)).sorted)
+  }
+
+  test("NL signatures are packed simhash bits, banded as the 0/1 bits are") {
+    def ofMeasure(df: org.apache.spark.sql.DataFrame) = df.filter(col("measure") === Tus.Nl).collect().toSeq
+    val sigs = ofMeasure(idx.signatures.select("attr", "sig", "measure")).map(r => r.getString(0) -> r.getSeq[Long](1).toArray)
+    val frame = ofMeasure(idx.buckets.select("attr", "band", "bucket", "measure"))
+      .groupMap(_.getString(0))(r => (r.getInt(1), r.getLong(2)))
+    assert(sigs.exists(_._2.nonEmpty))
+    sigs.foreach { case (attr, sig) =>
+      assert(sig.isEmpty || sig.length == RandomProjection.NumBits / 64, s"$attr: ${sig.length} longs")
+      val want = SimhashReference.buckets(SimhashReference.unpack(sig), Banding.simhashLevels)
+      assert(Banding.buckets(sig, Banding.simhashLevels) == want, attr)
+      assert(frame.getOrElse(attr, Nil).sorted == want.sorted, attr)
+    }
   }
 
   test("ranking is dense per target with scores in [0,1]") {

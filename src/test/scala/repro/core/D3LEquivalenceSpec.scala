@@ -5,7 +5,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.{PropSupport, SparkSpec}
 import repro.lake.{Generators, Lake, LakeColumn, LakeDf, LakeTable}
-import repro.lsh.{Banding, RandomProjection}
+import repro.lsh.{Banding, RandomProjection, SimhashReference}
 
 /** A D³L answer does not depend on its route. The served query pipeline
   * (`D3L.queryAll`, plain Scala on the driver) returns what the Spark-SQL
@@ -147,8 +147,7 @@ class D3LEquivalenceSpec extends SparkSpec with PropSupport {
         val keys = Banding.buckets(sig, levelsOf(ev))
         val want = keys.flatMap { case (b, h) => held.get((ev, b, h)) }
         assert(t.buckets(e).map(b => idx.serving.probe(b).toSeq).toSeq == want, s"${t.tableId}#${t.colIdx} $ev buckets")
-        assert((if (ev == Evidence.E && sig.nonEmpty) RandomProjection.pack(sig) else sig).sameElements(t.sigs(e)),
-          s"${t.tableId}#${t.colIdx} $ev signature")
+        assert(sig.sameElements(t.sigs(e)), s"${t.tableId}#${t.colIdx} $ev signature")
         keys.size - want.size
       }.sum
     }.sum
@@ -181,6 +180,41 @@ class D3LEquivalenceSpec extends SparkSpec with PropSupport {
     assert(res.ranked.map(_.sTable).contains(t.id), s"${t.id} missing from the answer")
     assert(res.aligned.exists(a => a.sTable == t.id && a.tCol == a.sCol))
   }
+
+  // ---- one signature form from the kernel to the serving index ---------------
+
+  for (lakeName <- Seq("Synthetic", "Smaller Real"))
+    test(s"the serving index holds the features' own signature arrays, on $lakeName") {
+      val (_, idx) = lakes(lakeName)
+      val served = idx.serving.attrs.iterator
+      idx.features.foreach(_.attrs.foreach(a => assert(served.next().sigs eq a.sigs)))
+      assert(!served.hasNext)
+    }
+
+  for (lakeName <- Seq("Synthetic", "Smaller Real"))
+    test(s"the signatures frame bands and estimates as the benchmark's kernels read it, on $lakeName") {
+      import spark.implicits._
+      val (_, idx) = lakes(lakeName)
+      // perfbench's `Kernels` reads the frame so: evidence and signature,
+      // banded under the levels of the evidence, 𝔼 pairs estimated.
+      val sigs = idx.signatures.select("attr", "evidence", "sig").as[(String, String, Array[Long])].collect().toSeq
+      val frame = idx.buckets.select("attr", "evidence", "band", "bucket").as[(String, String, Int, Long)]
+        .collect().toSeq.groupMap(r => (r._1, r._2))(r => (r._3, r._4))
+      sigs.foreach { case (attr, ev, sig) =>
+        assert(Banding.buckets(sig, levelsOf(ev)) == frame((attr, ev)), s"$attr $ev buckets")
+      }
+      val es = sigs.collect { case (attr, Evidence.E, sig) => attr -> sig }
+      assert(es.nonEmpty)
+      es.foreach { case (attr, sig) =>
+        assert(sig.length == RandomProjection.NumBits / 64, s"$attr: 𝔼 signature of ${sig.length} longs")
+        assert(Banding.buckets(sig, Banding.simhashLevels) ==
+          SimhashReference.buckets(SimhashReference.unpack(sig), Banding.simhashLevels), s"$attr: 𝔼 buckets")
+      }
+      es.zip(es.reverse).foreach { case ((x, a), (y, b)) =>
+        val want = SimhashReference.estimateCosine(SimhashReference.unpack(a), SimhashReference.unpack(b))
+        assert(RandomProjection.estimateCosine(a, b).equals(want), s"$x, $y: cosine estimate")
+      }
+    }
 
   // ---- generated lakes -------------------------------------------------------
 

@@ -7,6 +7,8 @@ class GeneratorsSpec extends SparkSpec {
   private lazy val real = Generators.smallerReal(nClusters = 4, tablesPerCluster = 6, poolSize = 80, seed = 1)
   private lazy val syn = Generators.synthetic(nBases = 6, derivedPerBase = 5, baseRows = 80, seed = 2)
 
+  private def subject(t: LakeTable): LakeColumn = t.columns.find(_.isSubject).get
+
   // ---- smaller real --------------------------------------------------------
 
   test("smallerReal produces the requested table count") {
@@ -32,7 +34,7 @@ class GeneratorsSpec extends SparkSpec {
 
   test("subject columns are non-numeric") {
     real.tables.foreach { t =>
-      val subj = t.columns(t.subjectIdx.get)
+      val subj = subject(t)
       val numeric = subj.values.count(v => repro.text.Tokenizer.isNumericValue(v))
       assert(numeric < subj.values.size / 2)
     }
@@ -66,7 +68,7 @@ class GeneratorsSpec extends SparkSpec {
     val all = real.tables.flatMap(_.columns.filterNot(_.isSubject)).flatMap(_.values)
     assert(all.count(_ == null) > 0)
     val subjNullFrac = {
-      val vs = real.tables.flatMap(t => t.columns(t.subjectIdx.get).values)
+      val vs = real.tables.flatMap(t => subject(t).values)
       vs.count(_ == null).toDouble / vs.size
     }
     assert(subjNullFrac < 0.05)
@@ -78,7 +80,7 @@ class GeneratorsSpec extends SparkSpec {
     // one pair must overlap.
     val cluster = real.tables.groupBy(_.cluster).head._2
     val subjSets = cluster.map(t =>
-      t.columns(t.subjectIdx.get).values.filter(_ != null).map(_.toLowerCase).toSet)
+      subject(t).values.filter(_ != null).map(_.toLowerCase).toSet)
     val anyOverlap = subjSets.combinations(2).exists(p => (p(0) intersect p(1)).nonEmpty)
     assert(anyOverlap, "no pair of cluster tables shares a subject value")
   }

@@ -17,6 +17,19 @@ class LakeDfSpec extends SparkSpec {
     assert(long.columns.toSeq == Seq("table_id", "col_idx", "col_name", "row_idx", "value"))
   }
 
+  test("a Synthetic lake's long format has the same columns and every table") {
+    val syn = Generators.synthetic(nBases = 3, derivedPerBase = 3, seed = 1)
+    val df = LakeDf.toLong(spark, syn.tables)
+    assert(df.columns.toSeq == Seq("table_id", "col_idx", "col_name", "row_idx", "value"))
+    assert(df.select("table_id").distinct().count() == syn.tables.size)
+  }
+
+  test("a Smaller-Real lake's long format has every table") {
+    val real = Generators.smallerReal(nClusters = 2, tablesPerCluster = 3, seed = 1)
+    val df = LakeDf.toLong(spark, real.tables)
+    assert(df.select("table_id").distinct().count() == 6)
+  }
+
   test("every table and column appears") {
     val ids = long.select("table_id").distinct().collect().map(_.getString(0)).toSet
     assert(ids == lake.tables.map(_.id).toSet)

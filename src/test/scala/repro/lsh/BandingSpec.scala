@@ -1,8 +1,16 @@
 package repro.lsh
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropSupport, SparkSpec}
+import repro.text.Embeddings
 
-class BandingSpec extends SparkSpec {
+class BandingSpec extends SparkSpec with PropSupport {
+
+  /** Collision probability (≥1 shared bucket at any level) at per-component
+    * agreement probability s.
+    */
+  private def collisionProbability(s: Double, levels: Seq[Banding.Level]): Double =
+    1.0 - levels.map { case Banding.Level(r, b) => math.pow(1.0 - math.pow(s, r.toDouble), b.toDouble) }.product
 
   test("minhash levels cover 32+16+8+4 bands") {
     val sig = MinHash.signature(Seq("a", "b", "c"))
@@ -26,6 +34,30 @@ class BandingSpec extends SparkSpec {
     assert(Banding.buckets(MinHash.signature(Seq.empty), Banding.minhashLevels).isEmpty)
     val z = RandomProjection.signature(new Array[Float](repro.text.Embeddings.Dim))
     assert(Banding.buckets(z, Banding.simhashLevels).isEmpty)
+  }
+
+  test("property: simhash bucket keys equal those of the 0/1 bits") {
+    // Signatures of vectors (the zero vector included) and arbitrary words,
+    // whose sign bits and values say nothing about emptiness.
+    val vectors = Gen.frequency(
+      9 -> Gen.listOfN(Embeddings.Dim, Gen.choose(-3.0f, 3.0f)).map(_.toArray),
+      1 -> Gen.const(new Array[Float](Embeddings.Dim)))
+    val sigs = Gen.oneOf(vectors.map(RandomProjection.signature),
+      Gen.listOfN(RandomProjection.NumBits / 64, Gen.long).map(_.toArray))
+    forAllGen(sigs, 500) { sig =>
+      val want = SimhashReference.buckets(SimhashReference.unpack(sig), Banding.simhashLevels)
+      assert(Banding.buckets(sig, Banding.simhashLevels) == want, sig.mkString(","))
+      assert(want.size == (if (sig.isEmpty) 0 else 32 + 16))
+    }
+  }
+
+  test("a packed signature whose first word is negative gets all 48 buckets") {
+    Seq(Array(-1L, 0x5555L, 0L, 42L), Array(Long.MinValue, -7L, Long.MaxValue, 1L),
+      Array(Long.MaxValue, 0L, 0L, 0L)).foreach { sig =>
+      val bs = Banding.buckets(sig, Banding.simhashLevels)
+      assert(bs.size == 32 + 16)
+      assert(bs == SimhashReference.buckets(SimhashReference.unpack(sig), Banding.simhashLevels))
+    }
   }
 
   test("band ids never collide across levels") {
@@ -69,12 +101,12 @@ class BandingSpec extends SparkSpec {
 
   test("theoretical collision probability is monotone in similarity") {
     val ps = Seq(0.1, 0.3, 0.5, 0.7, 0.9)
-      .map(s => Banding.collisionProbability(s, Banding.minhashLevels))
+      .map(s => collisionProbability(s, Banding.minhashLevels))
     assert(ps == ps.sorted)
     assert(ps.last > 0.999)
   }
 
   test("collision probability at τ=0.7 is high for minhash levels") {
-    assert(Banding.collisionProbability(0.7, Banding.minhashLevels) > 0.95)
+    assert(collisionProbability(0.7, Banding.minhashLevels) > 0.95)
   }
 }

@@ -13,8 +13,8 @@ class RandomProjectionSpec extends SparkSpec with PropSupport {
 
   test("signature has 256 bits of 0/1") {
     val s = RandomProjection.signature(vec(1))
-    assert(s.length == 256)
-    assert(s.forall(b => b == 0L || b == 1L))
+    assert(s.length == 4) // packed 64 bits to a word
+    assert(s.map(java.lang.Long.bitCount).sum == SimhashReference.signature(vec(1)).sum)
   }
 
   test("signature is deterministic") {
@@ -53,10 +53,11 @@ class RandomProjectionSpec extends SparkSpec with PropSupport {
     assert(math.abs(truth - est) < 0.15, s"truth=$truth est=$est")
   }
 
-  test("zero vector yields sentinel signature with zero similarity") {
+  test("zero vector yields the empty signature with zero similarity") {
     val z = RandomProjection.signature(new Array[Float](Embeddings.Dim))
-    assert(z.forall(_ == -1L))
+    assert(z.isEmpty)
     assert(RandomProjection.estimateCosine(z, RandomProjection.signature(vec(9))) == 0.0)
+    assert(RandomProjection.estimateCosine(RandomProjection.signature(vec(9)), z) == 0.0)
   }
 
   test("estimate is symmetric") {
@@ -71,29 +72,40 @@ class RandomProjectionSpec extends SparkSpec with PropSupport {
     assert(RandomProjection.signature(v).sameElements(RandomProjection.signature(scaled)))
   }
 
-  test("property: the packed estimate and distance equal those of the 0/1 bits") {
-    // b flips each bit of a with probability p, so agreements span 0..256.
-    val pairs = for {
-      a <- Gen.listOfN(RandomProjection.NumBits, Gen.oneOf(0L, 1L))
-      p <- Gen.oneOf(Gen.const(0.0), Gen.const(1.0), Gen.choose(0.0, 1.0))
-      flips <- Gen.listOfN(RandomProjection.NumBits, Gen.prob(p))
-    } yield (a.toArray, a.zip(flips).map { case (bit, f) => if (f) 1L - bit else bit }.toArray)
-    def distance(c: Double) = math.min(1.0, math.max(0.0, 1.0 - c))
-    forAllGen(pairs, 500) { case (a, b) =>
-      val want = RandomProjection.estimateCosine(a, b)
-      val got = RandomProjection.estimateCosinePacked(RandomProjection.pack(a), RandomProjection.pack(b))
-      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want), s"$got vs $want")
-      assert(distance(got) == distance(want))
+  /** Vectors from the generated lakes' kinds: Gaussian, small sums of ±1
+    * (which can sit on a hyperplane) and, now and then, the zero vector.
+    */
+  private val vectors: Gen[Array[Float]] = Gen.frequency(
+    6 -> Gen.listOfN(Embeddings.Dim, Gen.choose(-3.0f, 3.0f)).map(_.toArray),
+    3 -> Gen.listOfN(Embeddings.Dim, Gen.choose(-2, 2).map(_.toFloat)).map(_.toArray),
+    1 -> Gen.const(new Array[Float](Embeddings.Dim)))
+
+  test("property: signature bits equal those of the 0/1 reference") {
+    forAllGen(vectors, 500) { v =>
+      val got = RandomProjection.signature(v)
+      assert(SimhashReference.unpack(got).sameElements(SimhashReference.signature(v)), v.mkString(","))
+      assert(got.isEmpty == (Embeddings.norm(v) == 0))
     }
   }
 
-  test("pack holds 256 bits in 4 longs; the sentinel packs to nothing and estimates 0") {
-    val s = RandomProjection.signature(vec(13))
-    val packed = RandomProjection.pack(s)
-    assert(packed.length == 4)
-    assert((0 until 256).forall(i => ((packed(i / 64) >>> (i % 64)) & 1L) == s(i)))
-    val z = RandomProjection.pack(RandomProjection.signature(new Array[Float](Embeddings.Dim)))
-    assert(z.isEmpty)
-    assert(RandomProjection.estimateCosinePacked(z, packed) == 0.0)
+  test("property: the packed estimate and distance equal those of the 0/1 bits") {
+    // b flips each bit of a with probability p, so agreements span 0..256;
+    // a pair of vectors adds the empty signature and signatures as extracted.
+    val words = Gen.listOfN(RandomProjection.NumBits / 64, Gen.long).map(_.toArray)
+    val flipped = for {
+      a <- words
+      p <- Gen.oneOf(Gen.const(0.0), Gen.const(1.0), Gen.choose(0.0, 1.0))
+      flips <- Gen.listOfN(RandomProjection.NumBits, Gen.prob(p))
+    } yield (a, Array.tabulate(a.length)(w => a(w) ^ (0 until 64).foldLeft(0L)((m, i) =>
+      if (flips(64 * w + i)) m | (1L << i) else m)))
+    val pairs = Gen.frequency(3 -> flipped,
+      1 -> Gen.zip(vectors, vectors).map { case (x, y) => (RandomProjection.signature(x), RandomProjection.signature(y)) })
+    def distance(c: Double) = math.min(1.0, math.max(0.0, 1.0 - c))
+    forAllGen(pairs, 500) { case (a, b) =>
+      val got = RandomProjection.estimateCosine(a, b)
+      val want = SimhashReference.estimateCosine(SimhashReference.unpack(a), SimhashReference.unpack(b))
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want), s"$got vs $want")
+      assert(distance(got) == distance(want))
+    }
   }
 }
