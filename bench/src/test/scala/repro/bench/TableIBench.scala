@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.{D3L, Evidence}
 import repro.eval.Experiments
 
 /** Table I: example distance vectors for the Fig. 1 tables. The paper's
@@ -13,24 +14,17 @@ class TableIBench extends SparkSpec {
   import BenchFixtures._
 
   test("Table I: Fig. 1 example distances") {
-    val ranking = Experiments.tableIExample(spark)
+    val ranked = Experiments.tableIExample(spark)
     banner("Table I — Fig. 1 example, distance vectors for target T")
-    val rows = ranking.orderBy("rank").collect()
-    println(f"${"cand"}%-5s ${"dN"}%7s ${"dV"}%7s ${"dF"}%7s ${"dE"}%7s ${"dD"}%7s ${"score"}%8s")
-    rows.foreach { r =>
-      println(f"${r.getAs[String]("s_table")}%-5s ${r.getAs[Double]("dN")}%7.3f ${r.getAs[Double]("dV")}%7.3f " +
-        f"${r.getAs[Double]("dF")}%7.3f ${r.getAs[Double]("dE")}%7.3f ${r.getAs[Double]("dD")}%7.3f " +
-        f"${r.getAs[Double]("score")}%8.3f")
-    }
+    println(Experiments.fmtRanked(ranked))
 
-    val byTable = rows.map(r => r.getAs[String]("s_table") -> r).toMap
-    assert(byTable.contains("S2"), "S2 must be retrieved for T")
-    val s2 = byTable("S2")
+    def dist(r: D3L.Ranked, e: String): Double = r.dist(Evidence.all.indexOf(e))
+    val s2 = ranked.find(_.sTable == "S2").getOrElse(fail("S2 must be retrieved for T"))
     // As in Table I: shared attribute names (Practice/City/Postcode) → low dN…
-    assert(s2.getAs[Double]("dN") < 0.7)
+    assert(dist(s2, Evidence.N) < 0.7)
     // …format evidence present (postcodes, cities share formats)…
-    assert(s2.getAs[Double]("dF") < 1.0)
+    assert(dist(s2, Evidence.F) < 1.0)
     // …and S1/S2/S3 all related to T to some degree (score < 1).
-    rows.foreach(r => assert(r.getAs[Double]("score") < 1.0))
+    ranked.foreach(r => assert(r.score < 1.0))
   }
 }

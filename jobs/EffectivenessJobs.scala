@@ -53,7 +53,7 @@ object RepoStatsJob {
 object TableIJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSupport.session("table1-example")
-    Experiments.tableIExample(spark).orderBy("rank").show(false)
+    println(Experiments.fmtRanked(Experiments.tableIExample(spark)))
     spark.stop()
   }
 }

@@ -2,20 +2,21 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import repro.core.D3LConfig
 import repro.lsh.{Banding, MinHash, RandomProjection}
 import repro.text.{Embeddings, Tokenizer}
 
 /** Aurum baseline (Fernandez et al., ICDE'18), per §V-A of the D³L paper.
   *
-  * Two-step process: (1) profile every column — attribute-name q-gram
-  * MinHash, content MinHash, TF-IDF-weighted embedding simhash, numeric
-  * [min,max] ranges; (2) build the enterprise knowledge graph (EKG) once by
-  * LSH self-join over the profiles (edges = attribute pairs with similarity
-  * ≥ edge threshold; the graph build dominates indexing, as the paper
-  * observes). Both steps run on Spark; the EKG is then collected to the
-  * driver once, and queries are in-memory graph lookups in plain Scala that
-  * start no Spark job — k-independent, which is why the paper reports a
-  * single constant search time for Aurum.
+  * Two-step process: (1) profile every column on Spark — attribute-name
+  * q-gram MinHash, content MinHash, TF-IDF-weighted embedding simhash,
+  * numeric [min,max] ranges; (2) collect the profiles once and build the
+  * enterprise knowledge graph (EKG) on the driver by probing their LSH
+  * buckets (edges = attribute pairs with similarity ≥ edge threshold).
+  * Queries are in-memory graph lookups in plain Scala that start no Spark
+  * job — k-independent, which is why the paper reports a single constant
+  * search time for Aurum.
   *
   * Ranking uses the paper's chosen *certainty* strategy: max similarity
   * score across a table's matched attributes (ties: covered-attribute
@@ -80,7 +81,7 @@ object Aurum {
         sum(when(nonEmpty, 1L).otherwise(0L)) as "n_values",
         countDistinct(when(nonEmpty, $"value")) as "n_distinct",
         sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric")
-      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(0.8) * $"n_values")
+      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(D3LConfig().numericFrac) * $"n_values")
       .withColumn("uniqueness",
         when($"n_values" > 0, $"n_distinct".cast("double") / $"n_values").otherwise(0.0))
       .cache()
@@ -125,86 +126,108 @@ object Aurum {
       .join(catalog.select("attr", "table_id", "col_idx"), "attr")
       .cache()
 
+    // The bucket frame is what Table II stores; the EKG probes the same
+    // buckets on the driver.
     val buckets = signatures
       .select($"attr", $"table_id", $"measure", $"sig").as[(String, String, String, Array[Long])]
       .flatMap { case (attr, tid, m, sig) =>
-        val levels = if (m == At) Banding.simhashLevels else Banding.minhashLevels
-        Banding.buckets(sig, levels).map { case (band, bucket) => (m, band, bucket, attr, tid) }
+        Banding.buckets(sig, levels(measures.indexOf(m))).map { case (band, bucket) => (m, band, bucket, attr, tid) }
       }
       .toDF("measure", "band", "bucket", "attr", "table_id")
-      .cache()
-
-    // --- EKG build: LSH self-join + numeric range overlap -------------------
-    val a = buckets.select($"measure", $"band", $"bucket", $"attr" as "a_attr", $"table_id" as "a_table")
-    val b = buckets.select($"measure", $"band", $"bucket", $"attr" as "b_attr", $"table_id" as "b_table")
-    val collided = a.join(b, Seq("measure", "band", "bucket"))
-      .filter($"a_attr" < $"b_attr" && $"a_table" =!= $"b_table")
-      .select("measure", "a_attr", "a_table", "b_attr", "b_table")
-      .distinct()
-    val aSig = signatures.select($"attr" as "a_attr", $"measure", $"sig" as "a_sig")
-    val bSig = signatures.select($"attr" as "b_attr", $"measure", $"sig" as "b_sig")
-    val lshEdges = collided
-      .join(aSig, Seq("a_attr", "measure"))
-      .join(bSig, Seq("b_attr", "measure"))
-      .select("measure", "a_attr", "a_table", "b_attr", "b_table", "a_sig", "b_sig")
-      .as[(String, String, String, String, String, Array[Long], Array[Long])]
-      .map { case (m, aa, at, ba, bt, sa, sb) =>
-        (aa, at, ba, bt, if (m == At) math.max(0.0, RandomProjection.estimateCosine(sa, sb))
-                         else MinHash.estimateJaccard(sa, sb))
-      }
-      .toDF("a_attr", "a_table", "b_attr", "b_table", "sim")
 
     val ranges = lake.filter(nonEmpty)
       .join(catalog.filter($"is_numeric").select("attr"), "attr")
-      .select($"attr", $"table_id", $"value").as[(String, String, String)]
-      .flatMap { case (a0, t, v) => Tokenizer.parseNumeric(v).map(d => (a0, t, d)) }
-      .toDF("attr", "table_id", "num")
-      .groupBy("attr", "table_id")
+      .select($"attr", $"value").as[(String, String)]
+      .flatMap { case (a0, v) => Tokenizer.parseNumeric(v).map(d => (a0, d)) }
+      .toDF("attr", "num")
+      .groupBy("attr")
       .agg(min($"num") as "lo", max($"num") as "hi")
-    val ra = ranges.select($"attr" as "a_attr", $"table_id" as "a_table", $"lo" as "a_lo", $"hi" as "a_hi")
-    val rb = ranges.select($"attr" as "b_attr", $"table_id" as "b_table", $"lo" as "b_lo", $"hi" as "b_hi")
-    val rangeEdges = ra.crossJoin(rb)
-      .filter($"a_attr" < $"b_attr" && $"a_table" =!= $"b_table")
-      .withColumn("ovl", least($"a_hi", $"b_hi") - greatest($"a_lo", $"b_lo"))
-      .withColumn("alen", greatest($"a_hi" - $"a_lo", lit(1e-9)))
-      .withColumn("blen", greatest($"b_hi" - $"b_lo", lit(1e-9)))
-      .withColumn("sim", greatest(lit(0.0), $"ovl") / least($"alen", $"blen"))
-      .filter($"sim" > 0)
-      .withColumn("sim", least($"sim", lit(1.0)))
-      .select("a_attr", "a_table", "b_attr", "b_table", "sim")
 
-    val allEdges = lshEdges.unionByName(rangeEdges)
-      .groupBy("a_attr", "a_table", "b_attr", "b_table")
-      .agg(max($"sim") as "sim")
-      .cache()
-    // Column indexes come from the catalog: table ids may contain '#'.
-    val cols = catalog.select($"attr", $"col_idx")
-    val edges = allEdges
-      .filter($"sim" >= EdgeThreshold)
-      .join(cols.select($"attr" as "a_attr", $"col_idx" as "a_col"), "a_attr")
-      .join(cols.select($"attr" as "b_attr", $"col_idx" as "b_col"), "b_attr")
-      .select("a_attr", "a_table", "a_col", "b_attr", "b_table", "b_col", "sim")
-      .as[(String, String, Int, String, String, Int, Double)].collect()
-      .map { case (aa, at, ac, ba, bt, bc, s) => Edge(aa, at, ac, ba, bt, bc, s) }
+    // --- collect the profiles -----------------------------------------------
+    val profiles = catalog.select("attr", "table_id", "col_idx", "is_numeric", "uniqueness")
+      .as[(String, String, Int, Boolean, Double)].collect()
+      .map { case (a0, t, c, num, u) => Profile(a0, t, c, num, u) }.sortBy(_.attr)
+    val sigRows = signatures.select("attr", "measure", "sig").as[(String, String, Array[Long])].collect()
+    val rangeOf = ranges.as[(String, Double, Double)].collect().map { case (a0, lo, hi) => a0 -> (lo, hi) }.toMap
+    lake.unpersist(); toks.unpersist(); attrTokens.unpersist()
+
+    val (edges, pkfk) = ekg(profiles, sigRows, rangeOf)
+    AurumIndexes(catalog, signatures, buckets, edges, pkfk)
+  }
+
+  /** One column's catalog entry, as the EKG build reads it. */
+  private final case class Profile(attr: String, tableId: String, colIdx: Int, isNumeric: Boolean, uniqueness: Double)
+
+  private val measures = IndexedSeq(An, Ac, At)
+  private val levels = measures.map(m => if (m == At) Banding.simhashLevels else Banding.minhashLevels)
+
+  /** Spark SQL's `greatest` and `least`, which order NaN above every number. */
+  private def greatest(x: Double, y: Double): Double = if (x.isNaN || y.isNaN) Double.NaN else math.max(x, y)
+  private def least(x: Double, y: Double): Double = if (x.isNaN) y else if (y.isNaN) x else math.min(x, y)
+
+  /** The EKG and the PK/FK table graph of the collected profiles (in attr
+    * order), their `sigs` (attr, measure, signature) and the numeric
+    * columns' [min, max] `ranges`.
+    *
+    * Per measure, every pair of columns of different tables that share an
+    * LSH bucket is estimated once (Jaccard, or max(0, cosine) for AT);
+    * every pair of numeric columns of different tables with overlapping
+    * ranges gets their overlap over the shorter range, capped at 1. A pair
+    * keeps its max over these; the edges are the pairs reaching
+    * [[EdgeThreshold]], in (aAttr, bAttr) order. The range overlap is
+    * computed as in Spark SQL, so ranges reaching ±∞ relate as they did
+    * when the EKG was a Spark self-join.
+    */
+  private def ekg(profiles: Array[Profile], sigs: Array[(String, String, Array[Long])],
+                  ranges: Map[String, (Double, Double)]): (IndexedSeq[Edge], Map[String, Set[String]]) = {
+    val n = profiles.length
+    val pos = profiles.map(_.attr).zipWithIndex.toMap
+    val best = mutable.LongMap.empty[Double] // a · n + b, for columns a < b → max similarity
+    def offer(a: Int, b: Int, sim: Double): Unit = {
+      val k = a.toLong * n + b
+      best(k) = math.max(best.getOrElse(k, sim), sim)
+    }
+
+    val sigsOf = measures.map(_ => Array.fill(n)(Array.emptyLongArray)) // measure ordinal → position → signature
+    sigs.foreach { case (a, m, s) => sigsOf(measures.indexOf(m))(pos(a)) = s }
+    measures.indices.foreach { m =>
+      val sig = sigsOf(m)
+      val bucketAttrs = Banding.bucketMap(sig.toIndexedSeq, levels(m))
+      val seen = Array.fill(n)(-1) // seen(b) == a: pair (a, b) already estimated for this measure
+      for (a <- 0 until n; key <- Banding.buckets(sig(a), levels(m)); b <- bucketAttrs(key))
+        if (b > a && seen(b) != a && profiles(a).tableId != profiles(b).tableId) {
+          seen(b) = a
+          offer(a, b, if (measures(m) == At) math.max(0.0, RandomProjection.estimateCosine(sig(a), sig(b)))
+                      else MinHash.estimateJaccard(sig(a), sig(b)))
+        }
+    }
+
+    val numeric = (0 until n).filter(i => ranges.contains(profiles(i).attr))
+    for (x <- numeric.indices; y <- x + 1 until numeric.size) {
+      val (a, b) = (numeric(x), numeric(y))
+      if (profiles(a).tableId != profiles(b).tableId) {
+        val ((aLo, aHi), (bLo, bHi)) = (ranges(profiles(a).attr), ranges(profiles(b).attr))
+        val ovl = least(aHi, bHi) - greatest(aLo, bLo)
+        val sim = greatest(0.0, ovl) / least(greatest(aHi - aLo, 1e-9), greatest(bHi - bLo, 1e-9))
+        if (sim > 0 || sim.isNaN) offer(a, b, least(sim, 1.0)) // Spark SQL: NaN > 0
+      }
+    }
+
+    val pairs = best.toIndexedSeq.sortBy(_._1)
+      .map { case (k, sim) => (profiles((k / n).toInt), profiles((k % n).toInt), sim) }
+    val edges = pairs.collect { case (a, b, sim) if sim >= EdgeThreshold =>
+      Edge(a.attr, a.tableId, a.colIdx, b.attr, b.tableId, b.colIdx, sim)
+    }
 
     // --- PK/FK candidates for Aurum+J ---------------------------------------
     // Uniqueness + *any weak* inclusion evidence, per the paper's account of
     // Aurum's join discovery ("built on uniqueness of values") — not the
     // strong EKG edges, which would make Aurum+J stricter than it really is.
-    val uniq = catalog.filter($"uniqueness" >= 0.85 && !$"is_numeric")
-      .select($"attr").withColumn("u", lit(true))
-    val pkfk = allEdges
-      .join(uniq.select($"attr" as "a_attr", $"u" as "a_u"), Seq("a_attr"), "left")
-      .join(uniq.select($"attr" as "b_attr", $"u" as "b_u"), Seq("b_attr"), "left")
-      .filter(coalesce($"a_u", lit(false)) || coalesce($"b_u", lit(false)))
-      .filter($"sim" >= 0.15)
-      .select("a_table", "b_table").distinct()
-      .as[(String, String)].collect()
-    val pkfkAdj = scala.collection.mutable.Map.empty[String, Set[String]].withDefaultValue(Set.empty)
-    pkfk.foreach { case (x, y) => pkfkAdj(x) += y; pkfkAdj(y) += x }
-
-    lake.unpersist(); toks.unpersist(); attrTokens.unpersist(); allEdges.unpersist()
-    AurumIndexes(catalog, signatures, buckets, edges.toIndexedSeq, pkfkAdj.toMap)
+    def pk(p: Profile) = p.uniqueness >= 0.85 && !p.isNumeric
+    val pkfk = pairs
+      .collect { case (a, b, sim) if sim >= 0.15 && (pk(a) || pk(b)) => Seq(a.tableId -> b.tableId, b.tableId -> a.tableId) }
+      .flatten.groupMap(_._1)(_._2).map { case (t, ns) => t -> ns.toSet }
+    (edges, pkfk)
   }
 
   /** Query the EKG for each target (lake member): every edge incident to a

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.FeatureExtraction
+import repro.core.{D3LConfig, FeatureExtraction}
 import repro.lake.{LakeDf, LakeTable}
 import repro.lsh.{Banding, MinHash, RandomProjection}
 import repro.stats.Ccdf
@@ -45,8 +45,8 @@ object Tus {
       kbPath: String,
       /** The lake's textual attributes, collected, in (table id, column) order. */
       attrs: IndexedSeq[Attr],
-      /** (measure ordinal, band id, bucket hash) → positions in `attrs`, ascending. */
-      bucketAttrs: Map[(Int, Int, Long), Array[Int]],
+      /** Per measure ordinal, `attrs`' [[Banding.bucketMap]]. */
+      bucketAttrs: IndexedSeq[Map[(Int, Long), Array[Int]]],
   ) {
     /** Releases the cached catalog and signatures. */
     def unpersistAll(): Unit = Seq(catalog, signatures).foreach(_.unpersist())
@@ -84,7 +84,7 @@ object Tus {
         first($"col_name") as "col_name",
         sum(when(nonEmpty, 1L).otherwise(0L)) as "n_values",
         sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric")
-      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(0.8) * $"n_values")
+      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(D3LConfig().numericFrac) * $"n_values")
       .cache()
 
     val textual = catalog.filter(!$"is_numeric").select("attr")
@@ -148,11 +148,7 @@ object Tus {
         Banding.buckets(sig, levels(measures.indexOf(m))).map { case (band, bucket) => (m, band, bucket, attr, tid) }
       }
       .toDF("measure", "band", "bucket", "attr", "table_id")
-    val bucketAttrs = (for {
-      (a, i) <- attrs.zipWithIndex
-      m <- measures.indices
-      (band, bucket) <- Banding.buckets(a.sigs(m), levels(m))
-    } yield (m, band, bucket) -> i).groupMap(_._1)(_._2).map { case (k, is) => k -> is.toArray }
+    val bucketAttrs = measures.indices.map(m => Banding.bucketMap(attrs.map(_.sigs(m)), levels(m)))
     TusIndexes(catalog, signatures, buckets, embeddings, kbPath, attrs, bucketAttrs)
   }
 
@@ -194,7 +190,7 @@ object Tus {
     for (ti <- ts.indices; m <- measures.indices) {
       val sig = ts(ti).sigs(m)
       val cands = Banding.buckets(sig, levels(m))
-        .flatMap { case (band, bucket) => idx.bucketAttrs.getOrElse((m, band, bucket), Array.emptyIntArray) }
+        .flatMap(idx.bucketAttrs(m).getOrElse(_, Array.emptyIntArray))
         .distinct.filterNot(si => exclude.contains(idx.attrs(si).tableId))
       val sims = cands.map { si =>
         val other = idx.attrs(si).sigs(m)

@@ -37,7 +37,7 @@ object D3L {
     * the ranking's (tTable, sTable) pairs: every candidate table is scored.
     *
     * The frames are local DataFrame views of these values, for code that
-    * wants Spark (perfbench, Table I), each built on its first access:
+    * wants Spark (perfbench), each built on its first access:
     *  - ranking:     t_table, s_table, dN..dD, score, rank
     *  - alignments:  t_table, t_col, s_table, s_col, best_dist
     *  - tablePairs:  t_table, s_table

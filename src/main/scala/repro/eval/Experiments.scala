@@ -30,6 +30,11 @@ object Experiments {
     f"${"system"}%-10s ${"k"}%5s ${metric}%10s\n" +
       rows.map(r => f"${r.system}%-10s ${r.k}%5d ${r.value}%10.3f").mkString("\n")
 
+  /** One line per candidate: its Eq. 1 distances ([[Evidence.all]] order) and Eq. 3 score. */
+  def fmtRanked(rows: Seq[D3L.Ranked]): String =
+    f"${"cand"}%-5s ${Evidence.all.map(e => f"${"d" + e}%7s").mkString(" ")} ${"score"}%8s\n" +
+      rows.map(r => f"${r.sTable}%-5s ${r.dist.map(d => f"$d%7.3f").mkString(" ")} ${r.score}%8.3f").mkString("\n")
+
   // ---- Experiment 1: individual evidence types (Fig. 3) --------------------
 
   /** Precision/recall at each k of D³L's `ranked` answer and of its
@@ -69,7 +74,7 @@ object Experiments {
       val (tusIdx, tTus) = Harness.time { Tus.index(spark, long, kbPath) }
       val (aurumIdx, tAurum) = Harness.time { Aurum.index(spark, long) }
       tusIdx.unpersistAll()
-      Seq(aurumIdx.catalog, aurumIdx.signatures, aurumIdx.buckets).foreach(_.unpersist())
+      Seq(aurumIdx.catalog, aurumIdx.signatures).foreach(_.unpersist())
       long.unpersist()
       Seq(TimeRow("d3l", n, tD3l), TimeRow("tus", n, tTus), TimeRow("aurum", n, tAurum))
     }
@@ -183,7 +188,7 @@ object Experiments {
       100.0 * t.columns.count { c =>
         val nonNull = c.values.count(v => v != null && v.trim.nonEmpty)
         nonNull > 0 &&
-          c.values.count(v => repro.text.Tokenizer.isNumericValue(v)) >= 0.8 * nonNull
+          c.values.count(v => repro.text.Tokenizer.isNumericValue(v)) >= D3LConfig().numericFrac * nonNull
       } / math.max(1, t.arity)
     }
     Seq(("arity", arities), ("cardinality", cards), ("numeric_pct", numPct)).map {
@@ -195,10 +200,11 @@ object Experiments {
 
   // ---- Table I: example distances for the Fig. 1 tables --------------------
 
-  /** Build the paper's Fig. 1 example tables and report the five distances
-    * for the (T, S2) attribute pairs of Table I.
+  /** Build the paper's Fig. 1 example tables and rank them for target T:
+    * each candidate's Eq. 1 distances (Table I's five evidence types) and
+    * Eq. 3 score, in rank order.
     */
-  def tableIExample(spark: SparkSession): DataFrame = {
+  def tableIExample(spark: SparkSession): IndexedSeq[D3L.Ranked] = {
     import repro.lake.{LakeColumn, LakeTable}
     val s1 = LakeTable("S1", "ex", Vector(
       LakeColumn("Practice Name", Vector("Dr E Cullen", "Blackfriars"), "ex.p", isSubject = true),
@@ -223,6 +229,6 @@ object Experiments {
       LakeColumn("Hours", Vector("07:00-20:00", "08:00-16:00"), "ex.h", isSubject = false)))
     val long = LakeDf.toLong(spark, Seq(s1, s2, s3, t))
     val idx = D3L.index(spark, long)
-    D3L.queryAll(spark, idx, Seq("T")).ranking
+    D3L.queryAll(spark, idx, Seq("T")).ranked
   }
 }

@@ -48,6 +48,14 @@ object Banding {
     bandIds.zip(hashes(sig, levels))
   }
 
+  /** (band id, bucket hash) → the ascending positions in `sigs` of the
+    * signatures holding that bucket under `levels`: the probe structure of a
+    * collected set of signatures.
+    */
+  def bucketMap(sigs: IndexedSeq[Array[Long]], levels: Seq[Level]): Map[(Int, Long), Array[Int]] =
+    sigs.indices.flatMap(i => buckets(sigs(i), levels).map(_ -> i))
+      .groupMap(_._1)(_._2).map { case (k, is) => k -> is.toArray }
+
   /** The bucket hashes of [[buckets]] alone: position p is the bucket of
     * the p-th band in banding order.
     */

@@ -49,6 +49,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     }
     jobs.get
   }
+
+  /** Ids of the RDDs `body` leaves persisted: persisted after it and not
+    * before.
+    */
+  def persistedBy(body: => Any): Set[Int] = {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    body
+    sc.getPersistentRDDs.keySet.diff(before).toSet
+  }
 }
 
 object SparkSpec {

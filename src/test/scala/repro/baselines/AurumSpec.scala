@@ -130,6 +130,17 @@ class AurumSpec extends SparkSpec {
     assert(hits >= 1, s"$hits/${top3.length}")
   }
 
+  test("Aurum.index leaves only its catalog and signatures persisted") {
+    // Tables no other test indexes: a cached frame of the same plan would be reused.
+    val long = LakeDf.toLong(spark, lake.tables.takeRight(5))
+    lazy val built = Aurum.index(spark, long)
+    val left = persistedBy(built)
+    assert(left.size == 2, s"${left.size} datasets persisted by the build")
+    Seq(built.catalog, built.signatures).foreach(_.unpersist())
+    assert(spark.sparkContext.getPersistentRDDs.keySet.intersect(left).isEmpty,
+      "the build persisted more than its catalog and signatures")
+  }
+
   test("queryAll starts no Spark job") {
     idx // index built before measuring
     val jobs = jobsStartedBy(Aurum.queryAll(idx, lake.tables.map(_.id)))

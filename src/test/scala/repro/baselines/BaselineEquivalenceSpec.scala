@@ -2,14 +2,15 @@ package repro.baselines
 
 import java.nio.file.Files
 import repro.{PropSupport, SparkSpec}
-import repro.lake.{Generators, LakeDf, LakeTable}
+import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
 
 /** The served TUS and Aurum queries (plain Scala on the driver) answer as
   * their Spark-SQL reference ([[BaselineSqlReference]]) does, on the
   * `TusSpec`/`AurumSpec` lakes, on those lakes with `#` in every table id,
   * and on generated lakes.
-  *  - Aurum: rankings (score, covered columns, rank) and alignments are
-  *    equal exactly.
+  *  - Aurum: the EKG (edges with their similarities) and the PK/FK graph
+  *    are equal exactly, and so are rankings (score, covered columns, rank)
+  *    and alignments.
   *  - TUS: alignments are equal exactly; scores agree within 1e-12 (a sum's
   *    order is not fixed in Spark); ranks are equal except inside groups of
   *    reference scores within 1e-12 of each other.
@@ -72,10 +73,32 @@ class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
     } finally idx.unpersistAll()
   }
 
+  /** The driver's EKG and PK/FK graph equal the Spark-SQL self-join's, and
+    * every table of `tables` as a target answers as the reference query.
+    */
   private def checkAurum(what: String, tables: Seq[LakeTable]): Unit = {
-    val idx = Aurum.index(spark, LakeDf.toLong(spark, tables))
-    val ids = tables.map(_.id)
-    assertSameAurum(what, Aurum.queryAll(idx, ids), BaselineSqlReference.aurumQueryAll(spark, idx, ids))
+    val long = LakeDf.toLong(spark, tables)
+    val idx = Aurum.index(spark, long)
+    try {
+      val (edges, pkfk) = BaselineSqlReference.aurumEkg(spark, idx, long)
+      assert(idx.edges.size == edges.size && idx.edges.toSet == edges.toSet, s"$what: EKG edges differ")
+      assert(idx.pkfkTableEdges == pkfk, s"$what: PK/FK graphs differ")
+      val ids = tables.map(_.id)
+      assertSameAurum(what, Aurum.queryAll(idx, ids), BaselineSqlReference.aurumQueryAll(spark, idx, ids))
+    } finally Seq(idx.catalog, idx.signatures).foreach(_.unpersist())
+  }
+
+  /** Two numeric columns of different tables reach +∞ (`1e999`), so their
+    * range overlap is ∞/∞: NaN, which Spark SQL orders above every number.
+    */
+  private lazy val infiniteRangeLake: Seq[LakeTable] = {
+    def table(id: String, name: String, nums: Seq[String], names: Seq[String]) = LakeTable(id, "fixed", Vector(
+      LakeColumn("name", names.toVector, "fixed.name", isSubject = true),
+      LakeColumn(name, nums.toVector, "fixed.num", isSubject = false)))
+    Seq(
+      table("a", "amount", Seq("1", "1e999", "7"), Seq("ann", "bob", "cy")),
+      table("b", "total", Seq("2", "1e999", "5"), Seq("bob", "cy", "dee")),
+      table("c", "count", Seq("3", "4", "6"), Seq("eve", "fay", "gus")))
   }
 
   test("served TUS answers equal the Spark-SQL reference on the TusSpec lake") {
@@ -92,6 +115,10 @@ class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
 
   test("served Aurum answers equal the Spark-SQL reference with '#' in every table id") {
     checkAurum("hashed AurumSpec lake", hashed(aurumLake))
+  }
+
+  test("Aurum's EKG equals the Spark-SQL reference where numeric ranges reach infinity") {
+    checkAurum("infinite-range lake", infiniteRangeLake)
   }
 
   test("on generated lakes, served TUS and Aurum answers equal the Spark-SQL reference") {

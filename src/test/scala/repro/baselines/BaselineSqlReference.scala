@@ -5,14 +5,16 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
 import repro.lake.{LakeDf, LakeTable}
 import repro.lsh.{MinHash, RandomProjection}
+import repro.text.Tokenizer
 
 /** Reference implementations of the TUS and Aurum queries as Spark SQL: TUS
   * over its `buckets`/`signatures` frames (bucket join, similarity UDF,
-  * `cume_dist` windows, `row_number`), Aurum over a frame of its EKG edges.
+  * `cume_dist` windows, `row_number`), Aurum over a frame of its EKG edges;
+  * and of Aurum's EKG build, as the LSH self-join over its profile frames.
   * The served queries (`Tus.queryAll`/`queryTable`, `Aurum.queryAll`, plain
-  * Scala on the driver) must return the same answers;
-  * `BaselineEquivalenceSpec` checks that they do. Answers are read from the
-  * frames into the systems' typed values here.
+  * Scala on the driver) and the driver's EKG (`Aurum.index`) must give the
+  * same answers; `BaselineEquivalenceSpec` checks that they do. Answers are
+  * read from the frames into the systems' typed values here.
   */
 object BaselineSqlReference {
 
@@ -93,6 +95,83 @@ object BaselineSqlReference {
   }
 
   // ---- Aurum ------------------------------------------------------------------
+
+  /** Aurum's EKG and PK/FK table graph as a Spark-SQL self-join over the
+    * profiles of `idx` (its catalog, signatures and buckets) and the numeric
+    * ranges of `lakeLong`: a bucket self-join whose collided pairs are
+    * estimated with their signatures, a numeric-range `crossJoin`, the max
+    * per pair; edges are the pairs at or above `Aurum.EdgeThreshold`, PK/FK
+    * candidates the pairs at or above 0.15 with a unique textual side.
+    */
+  def aurumEkg(spark: SparkSession, idx: Aurum.AurumIndexes,
+               lakeLong: DataFrame): (IndexedSeq[Aurum.Edge], Map[String, Set[String]]) = {
+    import spark.implicits._
+    val (catalog, buckets) = (idx.catalog, idx.buckets)
+    val a = buckets.select($"measure", $"band", $"bucket", $"attr" as "a_attr", $"table_id" as "a_table")
+    val b = buckets.select($"measure", $"band", $"bucket", $"attr" as "b_attr", $"table_id" as "b_table")
+    val collided = a.join(b, Seq("measure", "band", "bucket"))
+      .filter($"a_attr" < $"b_attr" && $"a_table" =!= $"b_table")
+      .select("measure", "a_attr", "a_table", "b_attr", "b_table")
+      .distinct()
+    val aSig = idx.signatures.select($"attr" as "a_attr", $"measure", $"sig" as "a_sig")
+    val bSig = idx.signatures.select($"attr" as "b_attr", $"measure", $"sig" as "b_sig")
+    val lshEdges = collided
+      .join(aSig, Seq("a_attr", "measure"))
+      .join(bSig, Seq("b_attr", "measure"))
+      .select("measure", "a_attr", "a_table", "b_attr", "b_table", "a_sig", "b_sig")
+      .as[(String, String, String, String, String, Array[Long], Array[Long])]
+      .map { case (m, aa, at, ba, bt, sa, sb) =>
+        (aa, at, ba, bt, if (m == Aurum.At) math.max(0.0, RandomProjection.estimateCosine(sa, sb))
+                         else MinHash.estimateJaccard(sa, sb))
+      }
+      .toDF("a_attr", "a_table", "b_attr", "b_table", "sim")
+
+    val nonEmpty = $"value".isNotNull && length(trim($"value")) > 0
+    val ranges = lakeLong.withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
+      .filter(nonEmpty)
+      .join(catalog.filter($"is_numeric").select("attr"), "attr")
+      .select($"attr", $"table_id", $"value").as[(String, String, String)]
+      .flatMap { case (a0, t, v) => Tokenizer.parseNumeric(v).map(d => (a0, t, d)) }
+      .toDF("attr", "table_id", "num")
+      .groupBy("attr", "table_id")
+      .agg(min($"num") as "lo", max($"num") as "hi")
+    val ra = ranges.select($"attr" as "a_attr", $"table_id" as "a_table", $"lo" as "a_lo", $"hi" as "a_hi")
+    val rb = ranges.select($"attr" as "b_attr", $"table_id" as "b_table", $"lo" as "b_lo", $"hi" as "b_hi")
+    val rangeEdges = ra.crossJoin(rb)
+      .filter($"a_attr" < $"b_attr" && $"a_table" =!= $"b_table")
+      .withColumn("ovl", least($"a_hi", $"b_hi") - greatest($"a_lo", $"b_lo"))
+      .withColumn("alen", greatest($"a_hi" - $"a_lo", lit(1e-9)))
+      .withColumn("blen", greatest($"b_hi" - $"b_lo", lit(1e-9)))
+      .withColumn("sim", greatest(lit(0.0), $"ovl") / least($"alen", $"blen"))
+      .filter($"sim" > 0)
+      .withColumn("sim", least($"sim", lit(1.0)))
+      .select("a_attr", "a_table", "b_attr", "b_table", "sim")
+
+    val allEdges = lshEdges.unionByName(rangeEdges)
+      .groupBy("a_attr", "a_table", "b_attr", "b_table")
+      .agg(max($"sim") as "sim")
+    val cols = catalog.select($"attr", $"col_idx")
+    val edges = allEdges
+      .filter($"sim" >= Aurum.EdgeThreshold)
+      .join(cols.select($"attr" as "a_attr", $"col_idx" as "a_col"), "a_attr")
+      .join(cols.select($"attr" as "b_attr", $"col_idx" as "b_col"), "b_attr")
+      .select("a_attr", "a_table", "a_col", "b_attr", "b_table", "b_col", "sim")
+      .as[(String, String, Int, String, String, Int, Double)].collect()
+      .map { case (aa, at, ac, ba, bt, bc, s) => Aurum.Edge(aa, at, ac, ba, bt, bc, s) }
+
+    val uniq = catalog.filter($"uniqueness" >= 0.85 && !$"is_numeric")
+      .select($"attr").withColumn("u", lit(true))
+    val pkfk = allEdges
+      .join(uniq.select($"attr" as "a_attr", $"u" as "a_u"), Seq("a_attr"), "left")
+      .join(uniq.select($"attr" as "b_attr", $"u" as "b_u"), Seq("b_attr"), "left")
+      .filter(coalesce($"a_u", lit(false)) || coalesce($"b_u", lit(false)))
+      .filter($"sim" >= 0.15)
+      .select("a_table", "b_table").distinct()
+      .as[(String, String)].collect()
+    val pkfkAdj = scala.collection.mutable.Map.empty[String, Set[String]].withDefaultValue(Set.empty)
+    pkfk.foreach { case (x, y) => pkfkAdj(x) += y; pkfkAdj(y) += x }
+    (edges.toIndexedSeq, pkfkAdj.toMap)
+  }
 
   /** Aurum's query over a frame of the EKG edges: every edge incident to a
     * target attribute yields a candidate; certainty ranking.

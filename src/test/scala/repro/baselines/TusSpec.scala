@@ -122,11 +122,9 @@ class TusSpec extends SparkSpec {
   }
 
   test("queryTable leaves no persisted RDD behind") {
-    val sc = spark.sparkContext
     idx // index built before the snapshot
-    val before = sc.getPersistentRDDs.keySet
     val t = lake.tables.head
-    Tus.queryTable(spark, idx, t, excludeId = Some(t.id))
-    assert(sc.getPersistentRDDs.keySet == before, "queryTable left persisted RDDs behind")
+    assert(persistedBy(Tus.queryTable(spark, idx, t, excludeId = Some(t.id))).isEmpty,
+      "queryTable left persisted RDDs behind")
   }
 }

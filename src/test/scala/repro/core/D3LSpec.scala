@@ -305,11 +305,8 @@ class D3LSpec extends SparkSpec with PropSupport {
   }
 
   test("D3L.index leaves no persistent RDD") {
-    val sc = spark.sparkContext
     long.count()
-    val before = sc.getPersistentRDDs.keySet
-    D3L.index(spark, long)
-    val added = sc.getPersistentRDDs.keySet.diff(before)
+    val added = persistedBy(D3L.index(spark, long))
     assert(added.isEmpty, s"${added.size} datasets persisted by the build")
   }
 
@@ -332,29 +329,29 @@ class D3LSpec extends SparkSpec with PropSupport {
   }
 
   test("a target reusing the lake's embeddings has them and releases all it cached") {
-    val sc = spark.sparkContext
     val targetLong = LakeDf.toLong(spark, lake.tables.take(1))
     val lakeModel = idx.tokenEmbeddings // builds the lake index before the snapshot
-    val before = sc.getPersistentRDDs.keySet
-    val target = FeatureExtraction.extract(spark, targetLong, reuseEmbeddings = Some(lakeModel)).cacheAll()
-    target.unpersistAll()
-    assert(sc.getPersistentRDDs.keySet == before, "the target left cached datasets behind")
-    assert(target.embeddings.keySet == idx.embeddings.keySet)
-    idx.embeddings.foreach { case (tok, v) => assert(target.embeddings(tok).toSeq == v.toSeq, tok) }
+    val left = persistedBy {
+      val target = FeatureExtraction.extract(spark, targetLong, reuseEmbeddings = Some(lakeModel)).cacheAll()
+      target.unpersistAll()
+      assert(target.embeddings.keySet == idx.embeddings.keySet)
+      idx.embeddings.foreach { case (tok, v) => assert(target.embeddings(tok).toSeq == v.toSeq, tok) }
+    }
+    assert(left.isEmpty, "the target left cached datasets behind")
   }
 
   test("queryTable and its top-k collect start no Spark job and persist nothing") {
-    val sc = spark.sparkContext
     idx // index built before measuring
-    val persisted = sc.getPersistentRDDs.keySet
-    val jobs = jobsStartedBy {
-      (0 until 20).foreach { i =>
-        val t = lake.tables(i % lake.tables.size)
-        D3L.queryTable(spark, idx, t, excludeId = Some(t.id))
-          .ranking.filter(col("rank") <= 4).select("s_table", "score", "rank").collect()
+    val left = persistedBy {
+      val jobs = jobsStartedBy {
+        (0 until 20).foreach { i =>
+          val t = lake.tables(i % lake.tables.size)
+          D3L.queryTable(spark, idx, t, excludeId = Some(t.id))
+            .ranking.filter(col("rank") <= 4).select("s_table", "score", "rank").collect()
+        }
       }
+      assert(jobs == 0, s"$jobs Spark jobs started by queryTable")
     }
-    assert(jobs == 0, s"$jobs Spark jobs started by queryTable")
-    assert(sc.getPersistentRDDs.keySet == persisted, "queryTable left persisted RDDs behind")
+    assert(left.isEmpty, "queryTable left persisted RDDs behind")
   }
 }
