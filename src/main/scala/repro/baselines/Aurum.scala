@@ -1,19 +1,22 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import java.util.Arrays.asList
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.StructType
 import scala.collection.mutable
-import repro.core.D3LConfig
+import repro.core.{D3LConfig, FeatureExtraction}
+import repro.core.FeatureExtraction.{ColumnValues, Extent, rejectingMalformed}
 import repro.lsh.{Banding, MinHash, RandomProjection}
 import repro.text.{Embeddings, Tokenizer}
 
 /** Aurum baseline (Fernandez et al., ICDE'18), per §V-A of the D³L paper.
   *
-  * Two-step process: (1) profile every column on Spark — attribute-name
-  * q-gram MinHash, content MinHash, TF-IDF-weighted embedding simhash,
-  * numeric [min,max] ranges; (2) collect the profiles once and build the
-  * enterprise knowledge graph (EKG) on the driver by probing their LSH
-  * buckets (edges = attribute pairs with similarity ≥ edge threshold).
+  * Two-step process: (1) profile every column — attribute-name q-gram
+  * MinHash, content MinHash, TF-IDF-weighted embedding simhash, numeric
+  * [min,max] ranges — with a per-table kernel on Spark, built as D³L's index
+  * is (one regroup of the lake, two jobs, one collect); (2) build the
+  * enterprise knowledge graph (EKG) on the driver by probing the profiles'
+  * LSH buckets (edges = attribute pairs with similarity ≥ edge threshold).
   * Queries are in-memory graph lookups in plain Scala that start no Spark
   * job — k-independent, which is why the paper reports a single constant
   * search time for Aurum.
@@ -37,14 +40,48 @@ object Aurum {
   final case class Edge(aAttr: String, aTable: String, aCol: Int, bAttr: String, bTable: String, bCol: Int,
                         sim: Double)
 
-  final case class AurumIndexes(
-      catalog: DataFrame,
-      signatures: DataFrame,         // profile store: attr, measure, sig
-      buckets: DataFrame,            // LSH indexes over the profiles
-      /** The EKG, collected to the driver. */
-      edges: IndexedSeq[Edge],
-      pkfkTableEdges: Map[String, Set[String]], // join graph for Aurum+J
+  /** One column's profile: catalog statistics, signatures by measure ordinal (AN; then AC and AT for a
+    * textual column with a token, AT empty when every token weighs 0) and a numeric column's [min, max].
+    */
+  final case class Profile(tableId: String, colIdx: Int, colName: String, nValues: Long, nDistinct: Long,
+                           nNumeric: Long, isNumeric: Boolean, uniqueness: Double, sigs: Array[Array[Long]],
+                           range: Option[(Double, Double)]) {
+    val attr: String = FeatureExtraction.attrId(tableId, colIdx)
+  }
+
+  /** Aurum's index on the driver: the [[Profile]]s in attribute-id order,
+    * the EKG in (aAttr, bAttr) order and the PK/FK table graph of Aurum+J;
+    * nothing stays persisted in Spark. The frames are lazy local views of
+    * the profiles, for Table II and tests, with the schemas the Spark-SQL
+    * profiling had: `catalog` (attr, table_id, col_idx, col_name, n_values,
+    * n_distinct, n_numeric, is_numeric, uniqueness), `signatures` (attr,
+    * measure, sig, table_id, col_idx) and `buckets` (measure, band, bucket,
+    * attr, table_id), the LSH indexes.
+    */
+  final class AurumIndexes private[Aurum] (
+      spark: SparkSession,
+      val profiles: IndexedSeq[Profile],
+      val edges: IndexedSeq[Edge],
+      val pkfkTableEdges: Map[String, Set[String]],
   ) {
+    import spark.implicits._
+
+    lazy val catalog: DataFrame = spark.createDataFrame(asList(profiles.map(p => Row(p.attr, p.tableId, p.colIdx,
+      p.colName, p.nValues, p.nDistinct, p.nNumeric, p.isNumeric, p.uniqueness)): _*), StructType.fromDDL(
+      "attr STRING NOT NULL, table_id STRING, col_idx INT NOT NULL, col_name STRING, n_values BIGINT, " +
+      "n_distinct BIGINT NOT NULL, n_numeric BIGINT, is_numeric BOOLEAN, uniqueness DOUBLE"))
+    lazy val signatures: DataFrame = signed
+      .map { case (p, m) => (p.attr, measures(m), p.sigs(m), p.tableId, p.colIdx) }
+      .toDF("attr", "measure", "sig", "table_id", "col_idx")
+    lazy val buckets: DataFrame = signed
+      .flatMap { case (p, m) =>
+        Banding.buckets(p.sigs(m), levels(m)).map { case (band, bucket) => (measures(m), band, bucket, p.attr, p.tableId) }
+      }
+      .toDF("measure", "band", "bucket", "attr", "table_id")
+
+    /** Every signature as (profile, measure ordinal). */
+    private def signed: Seq[(Profile, Int)] = for (p <- profiles; m <- p.sigs.indices) yield (p, m)
+
     /** Table id → the EKG edges incident to it. */
     private[Aurum] lazy val incident: Map[String, IndexedSeq[Edge]] =
       edges.flatMap(e => Seq(e.aTable -> e, e.bTable -> e)).groupMap(_._1)(_._2)
@@ -67,97 +104,62 @@ object Aurum {
     */
   val EdgeThreshold = 0.5
 
-  /** Profile the lake and build the EKG. */
+  /** Profile the lake and build the EKG. Profiling is two Spark jobs over one `FeatureExtraction.regroup`, as
+    * D³L's build is: the TF-IDF document frequencies, summed per partition before one shuffle by token and
+    * broadcast to the per-table kernel ([[profileTable]]), whose output is collected once. A malformed lake is
+    * rejected as D³L rejects it.
+    */
   def index(spark: SparkSession, lakeLong: DataFrame): AurumIndexes = {
-    import spark.implicits._
-    val lake = lakeLong
-      .withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
-      .cache()
-    val nonEmpty = $"value".isNotNull && length(trim($"value")) > 0
-    val isNumUdf = udf((v: String) => Tokenizer.isNumericValue(v))
-    val catalog = lake.groupBy($"attr", $"table_id", $"col_idx")
-      .agg(
-        first($"col_name") as "col_name",
-        sum(when(nonEmpty, 1L).otherwise(0L)) as "n_values",
-        countDistinct(when(nonEmpty, $"value")) as "n_distinct",
-        sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric")
-      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(D3LConfig().numericFrac) * $"n_values")
-      .withColumn("uniqueness",
-        when($"n_values" > 0, $"n_distinct".cast("double") / $"n_values").otherwise(0.0))
-      .cache()
+    val tables = FeatureExtraction.regroup(spark, lakeLong)
+    // Per token, the number of textual columns holding it; under None, the number holding any token.
+    val df = rejectingMalformed(tables.flatMap(_._2.flatMap { c =>
+      val tokens = termFrequencies(new Extent(c.values, cfg)).keys.toSeq.map(Some(_))
+      if (tokens.isEmpty) Nil else (None +: tokens).map(_ -> 1)
+    }).reduceByKey(_ + _).collect().toMap)
+    val shipped = spark.sparkContext.broadcast(df)
+    val profiles = rejectingMalformed(tables.flatMap { case (id, cols) => profileTable(id, cols, shipped.value) }
+      .collect()).sortBy(_.attr).toIndexedSeq
+    shipped.destroy()
+    val (edges, pkfk) = ekg(profiles)
+    new AurumIndexes(spark, profiles, edges, pkfk)
+  }
 
-    // --- profiles -----------------------------------------------------------
-    val sigName = catalog.select($"attr", $"col_name").as[(String, String)]
-      .map { case (a, n) => (a, An, MinHash.signature(Tokenizer.qgrams(n))) }
+  /** Each token of a textual column's values with its number of occurrences; none for a numeric column. */
+  private def termFrequencies(x: Extent): mutable.Map[String, Int] = {
+    val tf = mutable.HashMap.empty[String, Int].withDefaultValue(0)
+    if (!x.numeric) x.counts.foreach { case (v, k) => Tokenizer.tokens(v).foreach(t => tf(t) += k) }
+    tf
+  }
 
-    val textual = catalog.filter(!$"is_numeric").select("attr")
-    val toks = lake.filter(nonEmpty)
-      .select($"attr", $"value")
-      .join(textual, "attr")
-      .as[(String, String)]
-      .flatMap { case (a, v) => Tokenizer.tokens(v).map(t => (a, t)) }
-      .toDF("attr", "token")
-      .cache()
-    val attrTokens = toks.select("attr", "token").distinct().cache()
-
-    val sigContent = attrTokens.as[(String, String)].groupByKey(_._1)
-      .mapGroups { (a, it) => (a, Ac, MinHash.signature(it.map(_._2).toSeq)) }
-
-    // TF-IDF simhash: v(a) = Σ_t tf(a,t)·idf(t)·base(t).
-    val nAttrs = attrTokens.select("attr").distinct().count().max(1L)
-    val df = attrTokens.groupBy("token").agg(count(lit(1)) as "adf")
-    val tf = toks.groupBy("attr", "token").agg(count(lit(1)) as "tf")
-    val sigTfidf = tf.join(df, "token")
-      .select($"attr", $"token", ($"tf" * log(lit(nAttrs.toDouble) / $"adf")) as "wt")
-      .as[(String, String, Double)]
-      .groupByKey(_._1)
-      .mapGroups { (a, it) =>
+  /** The profiles of one table's columns, given the lake's document frequencies `df` (of [[index]]). AN is the
+    * MinHash of the name's q-grams, AC of the distinct tokens; AT is the simhash of Σ_t tf(t)·log(n/adf(t))·base(t),
+    * n the number of textual columns holding a token (at least 1), log Spark SQL's `StrictMath.log`, each term
+    * added in `Float`, in token order.
+    */
+  private def profileTable(tableId: String, columns: Seq[ColumnValues], df: Map[Option[String], Int]): Seq[Profile] =
+    columns.map { c =>
+      val x = new Extent(c.values, cfg)
+      val tf = termFrequencies(x).toArray.sortBy(_._1)
+      val name = MinHash.signature(Tokenizer.qgrams(c.name))
+      val sigs = if (tf.isEmpty) Array(name) else {
+        val n = df.getOrElse(None, 0).max(1).toDouble
         val acc = new Array[Float](Embeddings.Dim)
-        it.foreach { case (_, t, w) =>
+        tf.foreach { case (t, k) =>
+          val w = k * StrictMath.log(n / df(Some(t)))
           val bv = Embeddings.baseVector(t)
           var i = 0
           while (i < Embeddings.Dim) { acc(i) += (bv(i) * w).toFloat; i += 1 }
         }
-        (a, At, RandomProjection.signature(acc))
+        Array(name, MinHash.signature(tf.map(_._1)), RandomProjection.signature(acc))
       }
+      lazy val nums = x.counts.keys.flatMap(Tokenizer.parseNumeric)
+      val range = Option.when(x.numeric)((nums.reduce(math.min(_, _)), nums.reduce(math.max(_, _))))
+      Profile(tableId, c.colIdx, c.name, x.n, x.counts.size, x.nNumeric, x.numeric,
+        if (x.n > 0) x.counts.size.toDouble / x.n else 0.0, sigs, range)
+    }
 
-    val signatures = sigName.union(sigContent).union(sigTfidf)
-      .toDF("attr", "measure", "sig")
-      .join(catalog.select("attr", "table_id", "col_idx"), "attr")
-      .cache()
-
-    // The bucket frame is what Table II stores; the EKG probes the same
-    // buckets on the driver.
-    val buckets = signatures
-      .select($"attr", $"table_id", $"measure", $"sig").as[(String, String, String, Array[Long])]
-      .flatMap { case (attr, tid, m, sig) =>
-        Banding.buckets(sig, levels(measures.indexOf(m))).map { case (band, bucket) => (m, band, bucket, attr, tid) }
-      }
-      .toDF("measure", "band", "bucket", "attr", "table_id")
-
-    val ranges = lake.filter(nonEmpty)
-      .join(catalog.filter($"is_numeric").select("attr"), "attr")
-      .select($"attr", $"value").as[(String, String)]
-      .flatMap { case (a0, v) => Tokenizer.parseNumeric(v).map(d => (a0, d)) }
-      .toDF("attr", "num")
-      .groupBy("attr")
-      .agg(min($"num") as "lo", max($"num") as "hi")
-
-    // --- collect the profiles -----------------------------------------------
-    val profiles = catalog.select("attr", "table_id", "col_idx", "is_numeric", "uniqueness")
-      .as[(String, String, Int, Boolean, Double)].collect()
-      .map { case (a0, t, c, num, u) => Profile(a0, t, c, num, u) }.sortBy(_.attr)
-    val sigRows = signatures.select("attr", "measure", "sig").as[(String, String, Array[Long])].collect()
-    val rangeOf = ranges.as[(String, Double, Double)].collect().map { case (a0, lo, hi) => a0 -> (lo, hi) }.toMap
-    lake.unpersist(); toks.unpersist(); attrTokens.unpersist()
-
-    val (edges, pkfk) = ekg(profiles, sigRows, rangeOf)
-    AurumIndexes(catalog, signatures, buckets, edges, pkfk)
-  }
-
-  /** One column's catalog entry, as the EKG build reads it. */
-  private final case class Profile(attr: String, tableId: String, colIdx: Int, isNumeric: Boolean, uniqueness: Double)
-
+  /** D³L's numeric-attribute rule, which Aurum's catalog applies too. */
+  private val cfg = D3LConfig()
   private val measures = IndexedSeq(An, Ac, At)
   private val levels = measures.map(m => if (m == At) Banding.simhashLevels else Banding.minhashLevels)
 
@@ -165,34 +167,24 @@ object Aurum {
   private def greatest(x: Double, y: Double): Double = if (x.isNaN || y.isNaN) Double.NaN else math.max(x, y)
   private def least(x: Double, y: Double): Double = if (x.isNaN) y else if (y.isNaN) x else math.min(x, y)
 
-  /** The EKG and the PK/FK table graph of the collected profiles (in attr
-    * order), their `sigs` (attr, measure, signature) and the numeric
-    * columns' [min, max] `ranges`.
-    *
-    * Per measure, every pair of columns of different tables that share an
-    * LSH bucket is estimated once (Jaccard, or max(0, cosine) for AT);
-    * every pair of numeric columns of different tables with overlapping
-    * ranges gets their overlap over the shorter range, capped at 1. A pair
-    * keeps its max over these; the edges are the pairs reaching
-    * [[EdgeThreshold]], in (aAttr, bAttr) order. The range overlap is
-    * computed as in Spark SQL, so ranges reaching ±∞ relate as they did
-    * when the EKG was a Spark self-join.
+  /** The EKG and the PK/FK table graph of the collected profiles, in attr order. Per measure, every pair of
+    * columns of different tables that share an LSH bucket is estimated once (Jaccard, or max(0, cosine) for
+    * AT); every pair of numeric columns of different tables with overlapping ranges gets their overlap over
+    * the shorter range, capped at 1. A pair keeps its max over these; the edges are the pairs reaching
+    * [[EdgeThreshold]], in (aAttr, bAttr) order. The range overlap is computed as in Spark SQL, so ranges
+    * reaching ±∞ relate as they did when the EKG was a Spark self-join.
     */
-  private def ekg(profiles: Array[Profile], sigs: Array[(String, String, Array[Long])],
-                  ranges: Map[String, (Double, Double)]): (IndexedSeq[Edge], Map[String, Set[String]]) = {
+  private def ekg(profiles: IndexedSeq[Profile]): (IndexedSeq[Edge], Map[String, Set[String]]) = {
     val n = profiles.length
-    val pos = profiles.map(_.attr).zipWithIndex.toMap
     val best = mutable.LongMap.empty[Double] // a · n + b, for columns a < b → max similarity
     def offer(a: Int, b: Int, sim: Double): Unit = {
       val k = a.toLong * n + b
       best(k) = math.max(best.getOrElse(k, sim), sim)
     }
 
-    val sigsOf = measures.map(_ => Array.fill(n)(Array.emptyLongArray)) // measure ordinal → position → signature
-    sigs.foreach { case (a, m, s) => sigsOf(measures.indexOf(m))(pos(a)) = s }
     measures.indices.foreach { m =>
-      val sig = sigsOf(m)
-      val bucketAttrs = Banding.bucketMap(sig.toIndexedSeq, levels(m))
+      val sig = profiles.map(p => if (m < p.sigs.length) p.sigs(m) else Array.emptyLongArray)
+      val bucketAttrs = Banding.bucketMap(sig, levels(m))
       val seen = Array.fill(n)(-1) // seen(b) == a: pair (a, b) already estimated for this measure
       for (a <- 0 until n; key <- Banding.buckets(sig(a), levels(m)); b <- bucketAttrs(key))
         if (b > a && seen(b) != a && profiles(a).tableId != profiles(b).tableId) {
@@ -202,11 +194,10 @@ object Aurum {
         }
     }
 
-    val numeric = (0 until n).filter(i => ranges.contains(profiles(i).attr))
+    val numeric = profiles.indices.flatMap(i => profiles(i).range.map(i -> _))
     for (x <- numeric.indices; y <- x + 1 until numeric.size) {
-      val (a, b) = (numeric(x), numeric(y))
+      val ((a, (aLo, aHi)), (b, (bLo, bHi))) = (numeric(x), numeric(y))
       if (profiles(a).tableId != profiles(b).tableId) {
-        val ((aLo, aHi), (bLo, bHi)) = (ranges(profiles(a).attr), ranges(profiles(b).attr))
         val ovl = least(aHi, bHi) - greatest(aLo, bLo)
         val sim = greatest(0.0, ovl) / least(greatest(aHi - aLo, 1e-9), greatest(bHi - bLo, 1e-9))
         if (sim > 0 || sim.isNaN) offer(a, b, least(sim, 1.0)) // Spark SQL: NaN > 0

@@ -45,16 +45,17 @@ object FeatureExtraction {
 
   /** The non-empty values of a column: each distinct one once, in
     * first-seen order, with its number of occurrences, and the
-    * numeric-attribute rule over them.
+    * numeric-attribute rule over them (for D³L's and Aurum's kernels).
     */
-  private final class Extent(values: Seq[String], cfg: D3LConfig) {
+  private[repro] final class Extent(values: Seq[String], cfg: D3LConfig) {
     val counts: mutable.LinkedHashMap[String, Int] = mutable.LinkedHashMap.empty
     values.foreach(v => if (nonEmpty(v)) counts(v) = counts.getOrElse(v, 0) + 1)
     /** Number of non-empty values. */
     val n: Int = counts.valuesIterator.sum
+    /** Number of non-empty values that parse as numbers. */
+    val nNumeric: Int = counts.iterator.collect { case (v, k) if Tokenizer.isNumericValue(v) => k }.sum
     /** Fraction of the non-empty values that parse as numbers. */
-    val numericFrac: Double =
-      if (n == 0) 0.0 else counts.iterator.collect { case (v, k) if Tokenizer.isNumericValue(v) => k }.sum.toDouble / n
+    val numericFrac: Double = if (n == 0) 0.0 else nNumeric.toDouble / n
     val numeric: Boolean = n > 0 && numericFrac >= cfg.numericFrac
   }
 
@@ -115,29 +116,45 @@ object FeatureExtraction {
     columns.filterNot(c => new Extent(c.values, cfg).numeric)
       .flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
 
-  /** Build the index of a lake in two Spark jobs. The long lake is
-    * regrouped by `table_id` once, into `defaultParallelism` partitions, and
-    * both consumers read that one shuffle's output: embedding training
-    * ([[trainEmbeddings]], whose model is collected to the driver and
-    * broadcast to the kernel) and the kernel, which runs once per table and
-    * whose output is collected straight to the driver, sorted by table id so
-    * that dense ids do not depend on the partitioning. Nothing stays
-    * persisted in Spark. When `reuseEmbeddings` is given (a query target),
-    * that model is collected instead of retraining on the (tiny) input.
-    *
-    * The regroup rejects a malformed lake with an `IllegalArgumentException`
-    * naming the table, column and row: a null or empty `table_id`, a
-    * negative `col_idx`, a column with two names and a column with two cells
-    * in one row. `row_idx` only orders a column's values, so any `Long`,
-    * negative ones included, is accepted. A `col_name` with no letter or
-    * digit has no q-grams: its ℕ signature is the empty-set sentinel, which
-    * falls in no bucket, so the attribute is found by its values alone.
+  /** Build the index of a lake in two Spark jobs over one [[regroup]] of it:
+    * embedding training ([[trainEmbeddings]], whose model is collected and
+    * broadcast to the kernel) and the kernel, run once per table, whose
+    * output is collected straight to the driver, sorted by table id so that
+    * dense ids do not depend on the partitioning. Nothing stays persisted.
+    * When `reuseEmbeddings` is given (a query target), that model is
+    * collected instead of retraining on the (tiny) input. A `col_name` with
+    * no letter or digit has the empty-set ℕ signature, which falls in no
+    * bucket, so the attribute is found by its values alone.
     */
   def extract(spark: SparkSession, lakeLong: DataFrame, cfg: D3LConfig = D3LConfig(),
               reuseEmbeddings: Option[DataFrame] = None): LakeIndexes = {
     import spark.implicits._
+    val tables = regroup(spark, lakeLong)
 
-    val tables = lakeLong
+    // ---- 𝔼: random-indexing embeddings (DESIGN.md §4.1) --------------------
+    val embeddings = reuseEmbeddings match {
+      case Some(model) => model.select("token", "vec").as[(String, Array[Float])].collect().toMap
+      case None => rejectingMalformed(trainEmbeddings(tables.flatMap { case (_, cols) => trainingTokens(cols, cfg) }))
+    }
+    val shipped = spark.sparkContext.broadcast(embeddings)
+    val features = rejectingMalformed(tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }
+      .collect()).sortBy(_.tableId).toSeq
+    shipped.destroy()
+    new LakeIndexes(spark, features, embeddings)
+  }
+
+  /** A long-format lake (`table_id, col_idx, col_name, row_idx, value`)
+    * regrouped by `table_id` into `defaultParallelism` partitions: per table,
+    * its columns with their values in `row_idx` order (any `Long`, negative
+    * ones too). One shuffle, whose output each later action reads. An action
+    * over it rejects a malformed lake, under [[rejectingMalformed]], with an
+    * `IllegalArgumentException` naming the table, column and row: a null or
+    * empty `table_id`, a negative `col_idx`, a column with two names or two
+    * cells in one row.
+    */
+  private[repro] def regroup(spark: SparkSession, lakeLong: DataFrame): RDD[(String, Seq[ColumnValues])] = {
+    import spark.implicits._
+    lakeLong
       .select($"table_id", $"col_idx", $"col_name", $"row_idx", $"value")
       .as[(String, Int, String, Long, String)]
       .rdd
@@ -159,23 +176,12 @@ object FeatureExtraction {
           ColumnValues(ci, sorted.head._2, sorted.map(_._4))
         }
       }
-
-    // ---- 𝔼: random-indexing embeddings (DESIGN.md §4.1) --------------------
-    val embeddings = reuseEmbeddings match {
-      case Some(model) => model.select("token", "vec").as[(String, Array[Float])].collect().toMap
-      case None => rejectingMalformed(trainEmbeddings(tables.flatMap { case (_, cols) => trainingTokens(cols, cfg) }))
-    }
-    val shipped = spark.sparkContext.broadcast(embeddings)
-    val features = rejectingMalformed(tables.map { case (id, cols) => extractTable(id, cols, cfg, shipped.value.get) }
-      .collect()).sortBy(_.tableId).toSeq
-    shipped.destroy()
-    new LakeIndexes(spark, features, embeddings)
   }
 
-  /** A Spark `action` over the regrouped lake, rethrowing a task's
+  /** A Spark `action` over a [[regroup]], rethrowing a task's
     * `IllegalArgumentException` (a malformed lake) as raised, unwrapped.
     */
-  private def rejectingMalformed[T](action: => T): T =
+  private[repro] def rejectingMalformed[T](action: => T): T =
     try action catch { case e: SparkException if e.getCause.isInstanceOf[IllegalArgumentException] => throw e.getCause }
 
   /** Random-indexing training over the words of each value: a token's

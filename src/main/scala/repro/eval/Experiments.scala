@@ -72,9 +72,8 @@ object Experiments {
       long.count()
       val (_, tD3l) = Harness.time { D3L.index(spark, long) }
       val (tusIdx, tTus) = Harness.time { Tus.index(spark, long, kbPath) }
-      val (aurumIdx, tAurum) = Harness.time { Aurum.index(spark, long) }
+      val (_, tAurum) = Harness.time { Aurum.index(spark, long) }
       tusIdx.unpersistAll()
-      Seq(aurumIdx.catalog, aurumIdx.signatures).foreach(_.unpersist())
       long.unpersist()
       Seq(TimeRow("d3l", n, tD3l), TimeRow("tus", n, tTus), TimeRow("aurum", n, tAurum))
     }

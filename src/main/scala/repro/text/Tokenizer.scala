@@ -1,7 +1,6 @@
 package repro.text
 
 import java.util.Locale
-import java.util.regex.Pattern
 
 /** Tokenization primitives shared by every evidence type (§III-A, Example 2).
   *
@@ -73,17 +72,44 @@ object Tokenizer {
     else norm.sliding(q).toSet
   }
 
-  private val Number = Pattern.compile("[+-]?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?")
-
-  /** A value with thousands separators and a leading currency marker
-    * stripped, when what remains is a number.
+  /** The number a value holds, as `Double.parseDouble` reads it: the value
+    * trimmed as `String.trim` trims, every ',' removed, then a leading '£',
+    * '$' and '€' stripped in that order, each at most once, when what
+    * remains matches `[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?` with ASCII
+    * digits. One pass over the chars: states 0–3 are the currency prefix
+    * (after nothing, '£', '$', '€'), then 4 sign, 5 integer digits, 6 a
+    * leading '.', 7 fraction, 8 'e', 9 exponent sign, 10 exponent digits;
+    * 5, 7 and 10 accept, −1 rejects.
     */
-  private def numberForm(raw: String): Option[String] =
-    if (raw == null) None
-    else {
-      val s = raw.trim.replace(",", "").stripPrefix("£").stripPrefix("$").stripPrefix("€")
-      if (Number.matcher(s).matches()) Some(s) else None
+  private def numberForm(raw: String): Option[String] = {
+    if (raw == null) return None
+    var i = 0; var end = raw.length
+    while (i < end && raw.charAt(i) <= ' ') i += 1
+    while (end > i && raw.charAt(end - 1) <= ' ') end -= 1
+    val out = new java.lang.StringBuilder(end - i)
+    var state = 0
+    while (i < end && state >= 0) {
+      val c = raw.charAt(i)
+      val digit = c >= '0' && c <= '9'
+      val exp = c == 'e' || c == 'E'
+      if (c != ',') {
+        state = state match {
+          case 0 | 1 | 2 | 3 =>
+            if (c == '£' && state < 1) 1 else if (c == '$' && state < 2) 2 else if (c == '€' && state < 3) 3
+            else if (c == '+' || c == '-') 4 else if (digit) 5 else if (c == '.') 6 else -1
+          case 4 => if (digit) 5 else if (c == '.') 6 else -1
+          case 5 => if (digit) 5 else if (c == '.') 7 else if (exp) 8 else -1
+          case 6 => if (digit) 7 else -1
+          case 7 => if (digit) 7 else if (exp) 8 else -1
+          case 8 => if (c == '+' || c == '-') 9 else if (digit) 10 else -1
+          case _ => if (digit) 10 else -1
+        }
+        if (state >= 4) out.append(c)
+      }
+      i += 1
     }
+    if (state == 5 || state == 7 || state == 10) Some(out.toString) else None
+  }
 
   /** True when a trimmed value parses as a number (optionally signed, with
     * thousands separators or a currency marker stripped). Used for numeric-

@@ -1,12 +1,11 @@
 package repro.baselines
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
 import repro.core.{D3LConfig, JoinPaths}
-import repro.lake.{Generators, LakeDf}
+import repro.lake.{Generators, LakeDf, MalformedLakes}
 import repro.lsh.{Banding, RandomProjection, SimhashReference}
 
-class AurumSpec extends SparkSpec {
+class AurumSpec extends MalformedLakes {
 
   private lazy val lake = Generators.smallerReal(nClusters = 3, tablesPerCluster = 5, poolSize = 60, seed = 71)
   private lazy val idx = Aurum.index(spark, LakeDf.toLong(spark, lake.tables))
@@ -130,16 +129,30 @@ class AurumSpec extends SparkSpec {
     assert(hits >= 1, s"$hits/${top3.length}")
   }
 
-  test("Aurum.index leaves only its catalog and signatures persisted") {
-    // Tables no other test indexes: a cached frame of the same plan would be reused.
-    val long = LakeDf.toLong(spark, lake.tables.takeRight(5))
-    lazy val built = Aurum.index(spark, long)
-    val left = persistedBy(built)
-    assert(left.size == 2, s"${left.size} datasets persisted by the build")
-    Seq(built.catalog, built.signatures).foreach(_.unpersist())
-    assert(spark.sparkContext.getPersistentRDDs.keySet.intersect(left).isEmpty,
-      "the build persisted more than its catalog and signatures")
+  test("Aurum.index leaves nothing persisted") {
+    val added = persistedBy(Aurum.index(spark, LakeDf.toLong(spark, lake.tables)))
+    assert(added.isEmpty, s"${added.size} datasets persisted by the build")
   }
+
+  test("Aurum.index runs two Spark jobs: document frequencies and the profiles' collect") {
+    val long = LakeDf.toLong(spark, lake.tables)
+    val jobs = jobsStartedBy(Aurum.index(spark, long))
+    assert(jobs == 2, s"$jobs Spark jobs started by Aurum.index")
+  }
+
+  test("Aurum's index does not depend on the long lake's row order or partitioning") {
+    def shape(i: Aurum.AurumIndexes) = (
+      i.profiles.map(p => (p.attr, p.colName, p.nValues, p.nDistinct, p.nNumeric, p.isNumeric, p.uniqueness, p.range,
+        p.sigs.toSeq.map(_.toSeq))),
+      i.edges, i.pkfkTableEdges, Aurum.queryAll(i, targets))
+    val want = shape(idx)
+    val long = LakeDf.toLong(spark, lake.tables)
+    Seq("shuffled rows" -> long.orderBy(rand(7)), "7 partitions" -> long.repartition(7)).foreach {
+      case (how, variant) => assert(shape(Aurum.index(spark, variant)) == want, how)
+    }
+  }
+
+  rejectsMalformedLakes("Aurum.index", Aurum.index(spark, _), lake.tables)
 
   test("queryAll starts no Spark job") {
     idx // index built before measuring

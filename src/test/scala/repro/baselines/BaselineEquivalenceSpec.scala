@@ -1,6 +1,7 @@
 package repro.baselines
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import repro.{PropSupport, SparkSpec}
 import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
 
@@ -8,9 +9,10 @@ import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
   * their Spark-SQL reference ([[BaselineSqlReference]]) does, on the
   * `TusSpec`/`AurumSpec` lakes, on those lakes with `#` in every table id,
   * and on generated lakes.
-  *  - Aurum: the EKG (edges with their similarities) and the PK/FK graph
-  *    are equal exactly, and so are rankings (score, covered columns, rank)
-  *    and alignments.
+  *  - Aurum: the profiles (catalog, signatures, buckets, numeric ranges),
+  *    the EKG (edges with their similarities) and the PK/FK graph are equal
+  *    exactly, and so are rankings (score, covered columns, rank) and
+  *    alignments.
   *  - TUS: alignments are equal exactly; scores agree within 1e-12 (a sum's
   *    order is not fixed in Spark); ranks are equal except inside groups of
   *    reference scores within 1e-12 of each other.
@@ -73,19 +75,38 @@ class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
     } finally idx.unpersistAll()
   }
 
-  /** The driver's EKG and PK/FK graph equal the Spark-SQL self-join's, and
-    * every table of `tables` as a target answers as the reference query.
+  /** Aurum's kernel profiles every column as the Spark-SQL profiling
+    * ([[BaselineSqlReference.aurumProfiles]]) does: equal catalog rows, AN,
+    * AC and AT signatures, buckets and numeric ranges, and equal frame
+    * schemas. The driver's EKG and PK/FK graph equal the Spark-SQL
+    * self-join's over the reference profiles, and every table of `tables`
+    * as a target answers as the reference query.
     */
   private def checkAurum(what: String, tables: Seq[LakeTable]): Unit = {
     val long = LakeDf.toLong(spark, tables)
     val idx = Aurum.index(spark, long)
-    try {
-      val (edges, pkfk) = BaselineSqlReference.aurumEkg(spark, idx, long)
-      assert(idx.edges.size == edges.size && idx.edges.toSet == edges.toSet, s"$what: EKG edges differ")
-      assert(idx.pkfkTableEdges == pkfk, s"$what: PK/FK graphs differ")
-      val ids = tables.map(_.id)
-      assertSameAurum(what, Aurum.queryAll(idx, ids), BaselineSqlReference.aurumQueryAll(spark, idx, ids))
-    } finally Seq(idx.catalog, idx.signatures).foreach(_.unpersist())
+    val ref = BaselineSqlReference.aurumProfiles(spark, long)
+    Seq[Aurum.AurumIndexes => DataFrame](_.catalog, _.signatures, _.buckets)
+      .zip(Seq(ref.catalog, ref.signatures, ref.buckets)).foreach { case (frame, want) =>
+        assert(frame(idx).schema == want.schema, s"$what: ${want.columns.mkString(", ")} schemas differ")
+      }
+    def rows(df: DataFrame) = df.collect().toSeq.map(_.toSeq).sortBy(_.toString)
+    assert(rows(idx.catalog) == rows(ref.catalog), s"$what: catalogs differ")
+    def sigs(df: DataFrame) =
+      df.select("attr", "measure", "sig").collect().map(r => (r.getString(0), r.getString(1)) -> r.getSeq[Long](2)).toMap
+    val (got, want) = (sigs(idx.signatures), sigs(ref.signatures))
+    assert(got.keySet == want.keySet && got.size == idx.profiles.map(_.sigs.length).sum, s"$what: different signatures")
+    val differ = want.keys.filter(k => got(k) != want(k)).toSeq.sorted
+    assert(differ.isEmpty, s"$what: signatures differ for ${differ.mkString(", ")}")
+    assert(rows(idx.buckets) == rows(ref.buckets), s"$what: buckets differ")
+    val ranges = ref.ranges.collect().map(r => r.getString(0) -> (r.getDouble(1), r.getDouble(2))).toMap
+    assert(idx.profiles.flatMap(p => p.range.map(p.attr -> _)).toMap == ranges, s"$what: numeric ranges differ")
+
+    val (edges, pkfk) = BaselineSqlReference.aurumEkg(spark, ref)
+    assert(idx.edges.size == edges.size && idx.edges.toSet == edges.toSet, s"$what: EKG edges differ")
+    assert(idx.pkfkTableEdges == pkfk, s"$what: PK/FK graphs differ")
+    val ids = tables.map(_.id)
+    assertSameAurum(what, Aurum.queryAll(idx, ids), BaselineSqlReference.aurumQueryAll(spark, idx, ids))
   }
 
   /** Two numeric columns of different tables reach +∞ (`1e999`), so their

@@ -3,18 +3,21 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
+import scala.jdk.CollectionConverters._
 import repro.lake.{LakeDf, LakeTable}
-import repro.lsh.{MinHash, RandomProjection}
-import repro.text.Tokenizer
+import repro.core.D3LConfig
+import repro.lsh.{Banding, MinHash, RandomProjection}
+import repro.text.{Embeddings, Tokenizer}
 
 /** Reference implementations of the TUS and Aurum queries as Spark SQL: TUS
   * over its `buckets`/`signatures` frames (bucket join, similarity UDF,
   * `cume_dist` windows, `row_number`), Aurum over a frame of its EKG edges;
-  * and of Aurum's EKG build, as the LSH self-join over its profile frames.
+  * and of Aurum's build: its profiling as Spark-SQL aggregations and joins
+  * over the long lake, its EKG as the LSH self-join over those profiles.
   * The served queries (`Tus.queryAll`/`queryTable`, `Aurum.queryAll`, plain
-  * Scala on the driver) and the driver's EKG (`Aurum.index`) must give the
-  * same answers; `BaselineEquivalenceSpec` checks that they do. Answers are
-  * read from the frames into the systems' typed values here.
+  * Scala on the driver) and Aurum's kernel and driver EKG (`Aurum.index`)
+  * must give the same answers; `BaselineEquivalenceSpec` checks that they
+  * do. Answers are read from the frames into the systems' typed values here.
   */
 object BaselineSqlReference {
 
@@ -96,25 +99,108 @@ object BaselineSqlReference {
 
   // ---- Aurum ------------------------------------------------------------------
 
-  /** Aurum's EKG and PK/FK table graph as a Spark-SQL self-join over the
-    * profiles of `idx` (its catalog, signatures and buckets) and the numeric
-    * ranges of `lakeLong`: a bucket self-join whose collided pairs are
-    * estimated with their signatures, a numeric-range `crossJoin`, the max
-    * per pair; edges are the pairs at or above `Aurum.EdgeThreshold`, PK/FK
-    * candidates the pairs at or above 0.15 with a unique textual side.
+  /** Aurum's profiles as Spark-SQL frames with the schemas of
+    * `Aurum.AurumIndexes`' `catalog`, `signatures` and `buckets`, and the
+    * numeric columns' `ranges` (attr, lo, hi).
     */
-  def aurumEkg(spark: SparkSession, idx: Aurum.AurumIndexes,
-               lakeLong: DataFrame): (IndexedSeq[Aurum.Edge], Map[String, Set[String]]) = {
+  final case class AurumProfiles(catalog: DataFrame, signatures: DataFrame, buckets: DataFrame, ranges: DataFrame)
+
+  /** Aurum's profiling of a long lake in Spark SQL: a `countDistinct`
+    * catalog with a numeric UDF; AN from the names; per textual column, its
+    * tokens joined and made `distinct` for AC, and the TF-IDF join weighting
+    * each token's base vector for AT, summed per column in the order its
+    * rows arrive; the numeric ranges as `min`/`max` over the parsed values.
+    * The catalog, signatures and ranges are collected into local frames, so
+    * every reader sees one evaluation of them.
+    */
+  def aurumProfiles(spark: SparkSession, lakeLong: DataFrame): AurumProfiles = {
     import spark.implicits._
-    val (catalog, buckets) = (idx.catalog, idx.buckets)
+    def local(df: DataFrame) = spark.createDataFrame(df.collect().toSeq.asJava, df.schema)
+    val lake = lakeLong.withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
+    val nonEmpty = $"value".isNotNull && length(trim($"value")) > 0
+    val isNumUdf = udf((v: String) => Tokenizer.isNumericValue(v))
+    val catalog = local(lake.groupBy($"attr", $"table_id", $"col_idx")
+      .agg(
+        first($"col_name") as "col_name",
+        sum(when(nonEmpty, 1L).otherwise(0L)) as "n_values",
+        countDistinct(when(nonEmpty, $"value")) as "n_distinct",
+        sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric")
+      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(D3LConfig().numericFrac) * $"n_values")
+      .withColumn("uniqueness",
+        when($"n_values" > 0, $"n_distinct".cast("double") / $"n_values").otherwise(0.0)))
+
+    val sigName = catalog.select($"attr", $"col_name").as[(String, String)]
+      .map { case (a, n) => (a, Aurum.An, MinHash.signature(Tokenizer.qgrams(n))) }
+
+    val textual = catalog.filter(!$"is_numeric").select("attr")
+    val toks = lake.filter(nonEmpty)
+      .select($"attr", $"value")
+      .join(textual, "attr")
+      .as[(String, String)]
+      .flatMap { case (a, v) => Tokenizer.tokens(v).map(t => (a, t)) }
+      .toDF("attr", "token")
+    val attrTokens = toks.select("attr", "token").distinct()
+
+    val sigContent = attrTokens.as[(String, String)].groupByKey(_._1)
+      .mapGroups { (a, it) => (a, Aurum.Ac, MinHash.signature(it.map(_._2).toSeq)) }
+
+    // TF-IDF simhash: v(a) = Σ_t tf(a,t)·idf(t)·base(t).
+    val nAttrs = attrTokens.select("attr").distinct().count().max(1L)
+    val df = attrTokens.groupBy("token").agg(count(lit(1)) as "adf")
+    val tf = toks.groupBy("attr", "token").agg(count(lit(1)) as "tf")
+    val sigTfidf = tf.join(df, "token")
+      .select($"attr", $"token", ($"tf" * log(lit(nAttrs.toDouble) / $"adf")) as "wt")
+      .as[(String, String, Double)]
+      .groupByKey(_._1)
+      .mapGroups { (a, it) =>
+        val acc = new Array[Float](Embeddings.Dim)
+        it.foreach { case (_, t, w) =>
+          val bv = Embeddings.baseVector(t)
+          var i = 0
+          while (i < Embeddings.Dim) { acc(i) += (bv(i) * w).toFloat; i += 1 }
+        }
+        (a, Aurum.At, RandomProjection.signature(acc))
+      }
+
+    val signatures = local(sigName.union(sigContent).union(sigTfidf)
+      .toDF("attr", "measure", "sig")
+      .join(catalog.select("attr", "table_id", "col_idx"), "attr"))
+    val buckets = signatures
+      .select($"attr", $"table_id", $"measure", $"sig").as[(String, String, String, Array[Long])]
+      .flatMap { case (attr, tid, m, sig) =>
+        val levels = if (m == Aurum.At) Banding.simhashLevels else Banding.minhashLevels
+        Banding.buckets(sig, levels).map { case (band, bucket) => (m, band, bucket, attr, tid) }
+      }
+      .toDF("measure", "band", "bucket", "attr", "table_id")
+
+    val ranges = local(lake.filter(nonEmpty)
+      .join(catalog.filter($"is_numeric").select("attr"), "attr")
+      .select($"attr", $"value").as[(String, String)]
+      .flatMap { case (a0, v) => Tokenizer.parseNumeric(v).map(d => (a0, d)) }
+      .toDF("attr", "num")
+      .groupBy("attr")
+      .agg(min($"num") as "lo", max($"num") as "hi"))
+    AurumProfiles(catalog, signatures, buckets, ranges)
+  }
+
+  /** Aurum's EKG and PK/FK table graph as a Spark-SQL self-join over the
+    * profiles `p` (of [[aurumProfiles]]): a bucket self-join whose collided
+    * pairs are estimated with their signatures, a numeric-range
+    * `crossJoin`, the max per pair; edges are the pairs at or above
+    * `Aurum.EdgeThreshold`, PK/FK candidates the pairs at or above 0.15
+    * with a unique textual side.
+    */
+  def aurumEkg(spark: SparkSession, p: AurumProfiles): (IndexedSeq[Aurum.Edge], Map[String, Set[String]]) = {
+    import spark.implicits._
+    val (catalog, buckets) = (p.catalog, p.buckets)
     val a = buckets.select($"measure", $"band", $"bucket", $"attr" as "a_attr", $"table_id" as "a_table")
     val b = buckets.select($"measure", $"band", $"bucket", $"attr" as "b_attr", $"table_id" as "b_table")
     val collided = a.join(b, Seq("measure", "band", "bucket"))
       .filter($"a_attr" < $"b_attr" && $"a_table" =!= $"b_table")
       .select("measure", "a_attr", "a_table", "b_attr", "b_table")
       .distinct()
-    val aSig = idx.signatures.select($"attr" as "a_attr", $"measure", $"sig" as "a_sig")
-    val bSig = idx.signatures.select($"attr" as "b_attr", $"measure", $"sig" as "b_sig")
+    val aSig = p.signatures.select($"attr" as "a_attr", $"measure", $"sig" as "a_sig")
+    val bSig = p.signatures.select($"attr" as "b_attr", $"measure", $"sig" as "b_sig")
     val lshEdges = collided
       .join(aSig, Seq("a_attr", "measure"))
       .join(bSig, Seq("b_attr", "measure"))
@@ -126,15 +212,7 @@ object BaselineSqlReference {
       }
       .toDF("a_attr", "a_table", "b_attr", "b_table", "sim")
 
-    val nonEmpty = $"value".isNotNull && length(trim($"value")) > 0
-    val ranges = lakeLong.withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
-      .filter(nonEmpty)
-      .join(catalog.filter($"is_numeric").select("attr"), "attr")
-      .select($"attr", $"table_id", $"value").as[(String, String, String)]
-      .flatMap { case (a0, t, v) => Tokenizer.parseNumeric(v).map(d => (a0, t, d)) }
-      .toDF("attr", "table_id", "num")
-      .groupBy("attr", "table_id")
-      .agg(min($"num") as "lo", max($"num") as "hi")
+    val ranges = p.ranges.join(catalog.select("attr", "table_id"), "attr")
     val ra = ranges.select($"attr" as "a_attr", $"table_id" as "a_table", $"lo" as "a_lo", $"hi" as "a_hi")
     val rb = ranges.select($"attr" as "b_attr", $"table_id" as "b_table", $"lo" as "b_lo", $"hi" as "b_hi")
     val rangeEdges = ra.crossJoin(rb)

@@ -1,17 +1,15 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.scalacheck.Gen
-import repro.{PropSupport, SparkSpec}
-import repro.lake.{Generators, LakeDf}
+import repro.lake.{Generators, LakeDf, MalformedLakes}
 
 /** End-to-end discovery tests on a small dirty lake with planted ground
   * truth: related tables (same cluster) must dominate the top of the D³L
   * ranking, evidence columns must behave per §III, and Algorithm 2's guards
   * must hold.
   */
-class D3LSpec extends SparkSpec with PropSupport {
+class D3LSpec extends MalformedLakes {
 
   private lazy val lake = Generators.smallerReal(nClusters = 3, tablesPerCluster = 5, poolSize = 80, seed = 31)
   private lazy val long = LakeDf.toLong(spark, lake.tables).cache()
@@ -241,60 +239,7 @@ class D3LSpec extends SparkSpec with PropSupport {
     assert(e.getMessage.contains("no-such-table"))
   }
 
-  test("D3L.index rejects a column with two names or two cells in one row, naming them") {
-    val t = lake.tables.head
-    val good = LakeDf.toLong(spark, Seq(t))
-    val cell = col("col_idx") === 1 && col("row_idx") === 2
-    val renamed = good.withColumn("col_name", when(cell, lit("other")).otherwise(col("col_name")))
-    val duplicated = good.union(good.filter(cell).withColumn("value", lit("x")))
-    Seq(
-      renamed -> Seq(s"table '${t.id}' column 1 has two names", "'other'"),
-      duplicated -> Seq(s"table '${t.id}' column 1 has two cells in row 2"),
-    ).foreach { case (bad, words) =>
-      val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
-      words.foreach(w => assert(e.getMessage.contains(w), e.getMessage))
-    }
-  }
-
-  for ((what, column, v, message) <- Seq[(String, String, Column, (String, String) => String)](
-      ("a null table id", "table_id", lit(null).cast("string"), (_, name) => s"null table id at column 1 ('$name'), row 2"),
-      ("an empty table id", "table_id", lit(""), (_, name) => s"empty table id at column 1 ('$name'), row 2"),
-      ("a negative column index", "col_idx", lit(-1),
-        (id, name) => s"table '$id' has a negative column index -1 ('$name') in row 2")))
-    test(s"D3L.index rejects $what in a two-table lake, naming the table, column and row") {
-      val t = lake.tables.head
-      val cell = col("table_id") === t.id && col("col_idx") === 1 && col("row_idx") === 2
-      val bad = LakeDf.toLong(spark, lake.tables.take(2)).withColumn(column, when(cell, v).otherwise(col(column)))
-      val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
-      assert(e.getMessage.contains(message(t.id, t.columns(1).name)), e.getMessage)
-    }
-
-  test("D3L.index rejects one malformed cell of each kind in generated lakes, naming the table, column and row") {
-    val cells = for {
-      tables <- generatedLakes
-      t <- Gen.oneOf(tables)
-      ci <- Gen.choose(0, t.arity - 1)
-      ri <- Gen.choose(0, t.numRows - 1)
-    } yield (tables, t, ci, ri)
-    forAllGen(cells, minSuccessful = 4, seed = Some(20261019L)) { case (tables, t, ci, ri) =>
-      val good = LakeDf.toLong(spark, tables)
-      val cell = col("table_id") === t.id && col("col_idx") === ci && col("row_idx") === ri
-      def set(column: String, v: Column) = good.withColumn(column, when(cell, v).otherwise(col(column)))
-      val name = t.columns(ci).name
-      val renamedNextRow = good.filter(cell).withColumn("row_idx", lit(t.numRows.toLong)).withColumn("col_name", lit("renamed"))
-      Seq(
-        set("table_id", lit(null).cast("string")) -> s"null table id at column $ci ('$name'), row $ri",
-        set("table_id", lit("")) -> s"empty table id at column $ci ('$name'), row $ri",
-        set("col_idx", lit(-1)) -> s"table '${t.id}' has a negative column index -1 ('$name') in row $ri",
-        good.union(renamedNextRow) ->
-          s"table '${t.id}' column $ci has two names, '$name' in row ${t.numRows - 1} and 'renamed' in row ${t.numRows}",
-        good.union(good.filter(cell).withColumn("value", lit("x"))) -> s"table '${t.id}' column $ci has two cells in row $ri",
-      ).foreach { case (bad, message) =>
-        val e = intercept[IllegalArgumentException](D3L.index(spark, bad))
-        assert(e.getMessage.contains(message), e.getMessage)
-      }
-    }
-  }
+  rejectsMalformedLakes("D3L.index", D3L.index(spark, _), lake.tables)
 
   test("row_idx only orders a column's values: negative row indexes index like their shifted non-negative ones") {
     val shifted = D3L.index(spark, long.withColumn("row_idx", col("row_idx") - 1000L))

@@ -6,8 +6,9 @@ import repro.{PropSupport, SparkSpec}
 
 class TokenizerSpec extends SparkSpec with PropSupport {
 
-  /** The StringBuilder and `split("\\s+")` implementations the char loops
-    * replaced, kept as their specification (lower-casing with `Locale.ROOT`).
+  /** The StringBuilder, `split("\\s+")` and regex implementations the char
+    * loops replaced, kept as their specification (lower-casing with
+    * `Locale.ROOT`).
     */
   private object Reference {
     def parts(value: String): Seq[String] = {
@@ -28,6 +29,38 @@ class TokenizerSpec extends SparkSpec with PropSupport {
       else part.split("\\s+").iterator.map(_.trim.toLowerCase(Locale.ROOT)).filter(_.nonEmpty).toSeq
 
     def partWords(value: String): Seq[Seq[String]] = parts(value).map(words).filter(_.nonEmpty)
+
+    private val Number = java.util.regex.Pattern.compile("[+-]?(\\d+\\.?\\d*|\\.\\d+)([eE][+-]?\\d+)?")
+
+    /** The number a value holds, as `Tokenizer.numberForm` finds it. */
+    def numberForm(raw: String): Option[String] =
+      if (raw == null) None
+      else {
+        val s = raw.trim.replace(",", "").stripPrefix("£").stripPrefix("$").stripPrefix("€")
+        if (Number.matcher(s).matches()) Some(s) else None
+      }
+  }
+
+  /** Number-like strings: digits, signs, commas, dots, exponents and the
+    * currency markers before or after the sign, in well-formed shapes and in
+    * random sequences, with surrounding whitespace (control characters and
+    * NBSP included), non-ASCII digits and stray letters.
+    */
+  private val numberLike: Gen[String] = {
+    val space = Gen.oneOf("", "", " ", "\t", " \u0001", "\u00A0")
+    val currency = Gen.oneOf("", "", "£", "$", "€", "£$", "$€", "£€", "£$€", "€$", "$£")
+    val digits = Gen.oneOf(Gen.numStr.map(_.take(4)), Gen.oneOf("1,234", "12,3", ",5", "٣", "５"))
+    val shaped = for {
+      (ws0, ws1) <- Gen.zip(space, space)
+      (c0, c1) <- Gen.zip(currency, Gen.frequency(4 -> Gen.const(""), 1 -> currency))
+      sign <- Gen.oneOf("", "", "+", "-")
+      (int, frac) <- Gen.zip(digits, digits)
+      dot <- Gen.oneOf("", ".", "..")
+      exp <- Gen.oneOf("", "", "e", "E", "e-", "E+", "e+-")
+      expDigits <- digits
+    } yield s"$ws0$c0$sign$c1$int$dot$frac$exp${if (exp.isEmpty) "" else expDigits}$ws1"
+    val piece = Gen.oneOf("0", "7", "42", "+", "-", ",", ".", "e", "E", "£", "$", "€", " ", "\t", "٣", "x")
+    Gen.frequency(3 -> shaped, 1 -> Gen.listOf(piece).map(_.mkString))
   }
 
   // ---- parts ---------------------------------------------------------------
@@ -192,6 +225,18 @@ class TokenizerSpec extends SparkSpec with PropSupport {
     forAllGen(Gen.alphaNumStr) { s =>
       Tokenizer.qgrams(s).foreach(g => assert(g.length <= 4))
     }
+  }
+
+  test("property: parseNumeric reads the number the regex form accepts, and only it") {
+    var accepted = 0
+    forAllGen(numberLike, 2000) { s =>
+      val want = Reference.numberForm(s)
+      assert(Tokenizer.isNumericValue(s) == want.isDefined, s)
+      assert(Tokenizer.parseNumeric(s).map(java.lang.Double.doubleToLongBits) ==
+        want.map(w => java.lang.Double.doubleToLongBits(w.toDouble)), s)
+      if (want.isDefined) accepted += 1
+    }
+    assert(accepted >= 200, s"only $accepted of the generated strings are numbers")
   }
 
   test("property: parseNumeric defined iff isNumericValue") {
