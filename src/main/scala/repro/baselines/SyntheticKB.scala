@@ -2,7 +2,6 @@ package repro.baselines
 
 import java.sql.DriverManager
 import java.util.{Locale, Properties}
-import org.apache.spark.sql.DataFrame
 
 /** Synthetic knowledge base — the offline stand-in for YAGO in the TUS
   * baseline (DESIGN.md §4.2).
@@ -13,7 +12,8 @@ import org.apache.spark.sql.DataFrame
   * performance leak (Experiments 4–5). We reproduce both the signal and the
   * cost structure: the dictionary is built from the generator vocabularies
   * (so it "knows real-world entities", as YAGO does) and is held in a DuckDB
-  * database file queried token-by-token over JDBC from each Spark partition.
+  * database file queried token-by-token over JDBC, from each Spark partition
+  * at indexing and from the driver at query time.
   */
 object SyntheticKB {
 
@@ -58,28 +58,24 @@ object SyntheticKB {
     path
   }
 
-  /** Map a DataFrame of distinct `token` rows to `token, cls` rows via
-    * per-token DuckDB lookups (the YAGO-lookup analogue; deliberately not a
-    * broadcast join — the out-of-process round trips are the modelled cost).
+  /** The class of each of `tokens` the KB knows, by per-token DuckDB
+    * lookups over one read-only connection, each distinct token once (the
+    * YAGO-lookup analogue; deliberately not a join — the out-of-process round
+    * trips are the modelled cost). Spark partitions and the driver call it
+    * alike.
     */
-  def mapTokens(tokens: DataFrame, dbPath: String): DataFrame = {
-    val spark = tokens.sparkSession
-    import spark.implicits._
-    tokens.select("token").distinct().as[String].mapPartitions { it =>
-      Class.forName("org.duckdb.DuckDBDriver")
-      val props = new Properties()
-      props.setProperty("duckdb.read_only", "true")
-      val conn = DriverManager.getConnection(s"jdbc:duckdb:$dbPath", props)
+  def mapTokens(tokens: IterableOnce[String], dbPath: String): Map[String, String] = {
+    Class.forName("org.duckdb.DuckDBDriver")
+    val props = new Properties()
+    props.setProperty("duckdb.read_only", "true")
+    val conn = DriverManager.getConnection(s"jdbc:duckdb:$dbPath", props)
+    try {
       val ps = conn.prepareStatement("SELECT cls FROM kb WHERE token = ?")
-      val out = it.flatMap { t =>
+      tokens.iterator.distinct.flatMap { t =>
         ps.setString(1, t)
         val rs = ps.executeQuery()
-        val res = if (rs.next()) Some((t, rs.getString(1))) else None
-        rs.close()
-        res
-      }.toVector
-      ps.close(); conn.close()
-      out.iterator
-    }.toDF("token", "cls")
+        try Option.when(rs.next())(t -> rs.getString(1)) finally rs.close()
+      }.toMap
+    } finally conn.close()
   }
 }

@@ -1,9 +1,11 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import java.util.Arrays.asList
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.StructType
 import repro.core.{D3LConfig, FeatureExtraction}
-import repro.lake.{LakeDf, LakeTable}
+import repro.core.FeatureExtraction.{ColumnValues, Extent, rejectingMalformed}
+import repro.lake.LakeTable
 import repro.lsh.{Banding, MinHash, RandomProjection}
 import repro.stats.Ccdf
 import repro.text.{Embeddings, Tokenizer}
@@ -24,32 +26,56 @@ import repro.text.{Embeddings, Tokenizer}
   * max, and table aggregation is max-score — the dispersion + max-score
   * behaviour the paper blames for TUS's ranking quality.
   *
-  * The signatures are computed on Spark and collected to the driver once;
-  * queries probe their buckets in plain Scala and start no Spark job, except
-  * for `queryTable`'s profiling of its target (Spark plus SyntheticKB
-  * lookups), which is TUS's reproduced query-time cost.
+  * The lake is profiled on Spark in the build shape D³L and Aurum share, and
+  * served from the driver. A query starts no Spark job: `queryTable` profiles
+  * its target with the same kernel on the driver, its tokens looked up in
+  * [[SyntheticKB]] one by one, which is TUS's reproduced query-time cost.
   */
 object Tus {
 
-  /** A textual attribute: column `colIdx` of `tableId`, with its signature
-    * per measure (in [[measures]] order), empty when it has none.
+  /** One column's catalog figures and, for a textual column with a token, its signature per measure (in
+    * [[measures]] order, empty when it has none) and its tokens' KB classes; no signature for other columns.
     */
-  final case class Attr(tableId: String, colIdx: Int, sigs: IndexedSeq[Array[Long]])
+  final case class Profile(tableId: String, colIdx: Int, colName: String, nValues: Long, nNumeric: Long,
+                           isNumeric: Boolean, sigs: IndexedSeq[Array[Long]], classes: Seq[String]) {
+    val attr: String = FeatureExtraction.attrId(tableId, colIdx)
+  }
 
-  final case class TusIndexes(
-      catalog: DataFrame,
-      signatures: DataFrame, // attr, measure, sig, table_id, col_idx
-      buckets: DataFrame,    // measure, band, bucket, attr, table_id
-      /** Token → vector model the NL signatures were built with. */
-      embeddings: Map[String, Array[Float]],
-      kbPath: String,
-      /** The lake's textual attributes, collected, in (table id, column) order. */
-      attrs: IndexedSeq[Attr],
-      /** Per measure ordinal, `attrs`' [[Banding.bucketMap]]. */
-      bucketAttrs: IndexedSeq[Map[(Int, Long), Array[Int]]],
+  /** TUS's index on the driver: every column's [[Profile]], in (table id, column) order, and the token → vector
+    * model of the NL signatures; nothing stays persisted in Spark. The frames are lazy local views of the profiles,
+    * for Table II and tests, with the schemas the Spark-SQL build had: `catalog` (attr, table_id, col_idx, col_name,
+    * n_values, n_numeric, is_numeric), `signatures` (attr, measure, sig, table_id, col_idx) and `buckets` (measure,
+    * band, bucket, attr, table_id), the LSH indexes.
+    */
+  final class TusIndexes private[Tus] (
+      spark: SparkSession,
+      val profiles: IndexedSeq[Profile],
+      val embeddings: Map[String, Array[Float]],
+      val kbPath: String,
   ) {
-    /** Releases the cached catalog and signatures. */
-    def unpersistAll(): Unit = Seq(catalog, signatures).foreach(_.unpersist())
+    import spark.implicits._
+
+    /** The served attributes: the profiles with signatures. */
+    val attrs: IndexedSeq[Profile] = profiles.filter(_.sigs.nonEmpty)
+    /** Per measure ordinal, `attrs`' [[Banding.bucketMap]]. */
+    private[Tus] val bucketAttrs: IndexedSeq[Map[(Int, Long), Array[Int]]] =
+      measures.indices.map(m => Banding.bucketMap(attrs.map(_.sigs(m)), levels(m)))
+
+    lazy val catalog: DataFrame = spark.createDataFrame(asList(profiles.map(p => Row(p.attr, p.tableId, p.colIdx,
+      p.colName, p.nValues, p.nNumeric, p.isNumeric)): _*), StructType.fromDDL(
+      "attr STRING NOT NULL, table_id STRING, col_idx INT NOT NULL, col_name STRING, n_values BIGINT, " +
+      "n_numeric BIGINT, is_numeric BOOLEAN"))
+    lazy val signatures: DataFrame = signed
+      .map { case (p, m) => (p.attr, measures(m), p.sigs(m), p.tableId, p.colIdx) }
+      .toDF("attr", "measure", "sig", "table_id", "col_idx")
+    lazy val buckets: DataFrame = signed
+      .flatMap { case (p, m) =>
+        Banding.buckets(p.sigs(m), levels(m)).map { case (band, bucket) => (measures(m), band, bucket, p.attr, p.tableId) }
+      }
+      .toDF("measure", "band", "bucket", "attr", "table_id")
+
+    /** Every signature as (profile, measure ordinal). */
+    private def signed: Seq[(Profile, Int)] = for (p <- attrs; m <- p.sigs.indices if p.sigs(m).nonEmpty) yield (p, m)
   }
 
   /** Lake table `sTable` as the `rank`-th most unionable (from 1) with target `tTable`. */
@@ -68,88 +94,61 @@ object Tus {
   private val levels: IndexedSeq[Seq[Banding.Level]] =
     measures.map(m => if (m == Nl) Banding.simhashLevels else Banding.minhashLevels).toIndexedSeq
 
-  /** Build the three TUS indexes over a lake (includes the KB mapping of
-    * every distinct token — the dominant indexing cost, as in the paper).
+  /** D³L's numeric-attribute rule, which TUS's catalog applies too. */
+  private val cfg = D3LConfig()
+
+  /** Build the three TUS indexes over a lake in Spark jobs over one `FeatureExtraction.regroup`, as D³L's build is:
+    * embedding training (`FeatureExtraction.trainEmbeddings`, unless `reuseEmbeddings` is given); the KB mapping of
+    * every distinct token, one lookup each, per partition (the dominant indexing cost, as in the paper); and the
+    * per-table kernel ([[profileTable]]), given both maps by broadcast, whose output is collected once. A malformed
+    * lake is rejected as D³L rejects it.
     */
   def index(spark: SparkSession, lakeLong: DataFrame, kbPath: String,
             reuseEmbeddings: Option[Map[String, Array[Float]]] = None): TusIndexes = {
-    import spark.implicits._
-    val lake = lakeLong
-      .withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
-      .cache()
-    val nonEmpty = $"value".isNotNull && length(trim($"value")) > 0
-    val isNumUdf = udf((v: String) => Tokenizer.isNumericValue(v))
-    val catalog = lake.groupBy($"attr", $"table_id", $"col_idx")
-      .agg(
-        first($"col_name") as "col_name",
-        sum(when(nonEmpty, 1L).otherwise(0L)) as "n_values",
-        sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric")
-      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(D3LConfig().numericFrac) * $"n_values")
-      .cache()
+    val tables = FeatureExtraction.regroup(spark, lakeLong)
+    val embeddings = reuseEmbeddings.getOrElse(rejectingMalformed(FeatureExtraction.trainEmbeddings(
+      tables.flatMap { case (_, cols) => FeatureExtraction.trainingTokens(cols, cfg) })))
+    val classes = rejectingMalformed(tables.flatMap(_._2.flatMap(c => tokens(new Extent(c.values, cfg)))).distinct()
+      .mapPartitions(SyntheticKB.mapTokens(_, kbPath).iterator).collect().toMap)
+    val shipped = spark.sparkContext.broadcast((embeddings, classes))
+    val profiles = rejectingMalformed(tables.flatMap { case (id, cols) =>
+      profileTable(id, cols, shipped.value._1.get, shipped.value._2.get)
+    }.collect()).sortBy(p => (p.tableId, p.colIdx)).toSeq
+    shipped.destroy()
+    new TusIndexes(spark, withSem(profiles), embeddings, kbPath)
+  }
 
-    val textual = catalog.filter(!$"is_numeric").select("attr")
+  /** The distinct tokens of a textual column's values, in first-seen order; none for a numeric column. */
+  private def tokens(x: Extent): Seq[String] =
+    if (x.numeric) Nil else x.counts.keys.toSeq.flatMap(Tokenizer.tokens).distinct
 
-    val values = lake.filter(nonEmpty)
-      .select($"attr", $"value")
-      .join(textual, "attr")
-      .as[(String, String)]
-      .map { case (attr, v) => (attr, Tokenizer.partWords(v).flatten) }
-      .cache()
-
-    val attrTokens = values.flatMap { case (attr, ws) => ws.map(w => (attr, w)) }
-      .toDF("attr", "token").distinct().cache()
-
-    // SET signatures over the full token sets.
-    val sigSet = attrTokens.as[(String, String)].groupByKey(_._1)
-      .mapGroups { (a, it) => (a, Set_, MinHash.signature(it.map(_._2).toSeq)) }
-
-    // SEM: map every distinct token through the KB, then hash the class
-    // sets. TUS discounts statistically common annotations (its semantic
-    // unionability is a significance test, not raw overlap); we emulate the
-    // discount by dropping classes present in more than 20% of attributes —
-    // without it, ubiquitous classes (City, GivenName) make every pair of
-    // textual columns SEM-identical and the ranking degenerates.
-    val classes = SyntheticKB.mapTokens(attrTokens.select("token"), kbPath)
-    val attrClasses = attrTokens.join(classes, Seq("token"))
-      .select("attr", "cls").distinct().cache()
-    val nTextualAttrs = math.max(1L, attrTokens.select("attr").distinct().count())
-    val commonClasses = attrClasses.groupBy("cls")
-      .agg(count(lit(1)) as "df")
-      .filter($"df" > lit(0.2) * nTextualAttrs)
-      .select("cls")
-    val sigSem = attrClasses.join(commonClasses, Seq("cls"), "left_anti")
-      .select("attr", "cls")
-      .as[(String, String)].groupByKey(_._1)
-      .mapGroups { (a, it) => (a, Sem, MinHash.signature(it.map(_._2).toSeq)) }
-
-    // NL: mean embedding of the distinct tokens (embeddings trained on the
-    // lake corpus, shared substitute for TUS's pretrained vectors).
-    val embeddings = reuseEmbeddings.getOrElse(FeatureExtraction.trainEmbeddings(values.rdd.map(_._2)))
-    val sigNl = attrTokens.join(embeddings.toSeq.toDF("token", "vec"), Seq("token"))
-      .select($"attr", $"vec").as[(String, Array[Float])]
-      .groupByKey(_._1)
-      .mapGroups { (a, it) => (a, Nl, RandomProjection.signature(Embeddings.mean(it.map(_._2).toSeq))) }
-
-    // The catalog and signatures stay cached with what was collected (Table
-    // II writes them); the intermediate caches are released once computed.
-    val signatures = sigSet.union(sigSem).union(sigNl)
-      .toDF("attr", "measure", "sig")
-      .join(catalog.select("attr", "table_id", "col_idx"), "attr")
-      .cache()
-    val rows = signatures.select("table_id", "col_idx", "measure", "sig")
-      .as[(String, Int, String, Array[Long])].collect()
-    lake.unpersist(); values.unpersist(); attrTokens.unpersist(); attrClasses.unpersist()
-    val attrs = rows.groupBy(r => (r._1, r._2)).toIndexedSeq.sortBy(_._1).map { case ((tid, c), rs) =>
-      Attr(tid, c, measures.map(m => rs.find(_._3 == m).fold(Array.emptyLongArray)(_._4)).toIndexedSeq)
+  /** The profiles of one table's columns, SEM left empty: SET is the MinHash of the distinct tokens, NL the
+    * simhash of the mean `embedding` of those that have one, and the classes are the tokens' `classOf`, each once.
+    */
+  private def profileTable(tableId: String, columns: Seq[ColumnValues], embedding: String => Option[Array[Float]],
+                           classOf: String => Option[String]): Seq[Profile] =
+    columns.map { c =>
+      val x = new Extent(c.values, cfg)
+      val ts = tokens(x)
+      val vecs = ts.flatMap(embedding)
+      val sigs = if (ts.isEmpty) IndexedSeq.empty else IndexedSeq(MinHash.signature(ts), Array.emptyLongArray,
+        if (vecs.isEmpty) Array.emptyLongArray else RandomProjection.signature(Embeddings.mean(vecs)))
+      Profile(tableId, c.colIdx, c.name, x.n, x.nNumeric, x.numeric, sigs, ts.flatMap(classOf).distinct)
     }
-    val buckets = signatures
-      .select($"attr", $"table_id", $"measure", $"sig").as[(String, String, String, Array[Long])]
-      .flatMap { case (attr, tid, m, sig) =>
-        Banding.buckets(sig, levels(measures.indexOf(m))).map { case (band, bucket) => (m, band, bucket, attr, tid) }
-      }
-      .toDF("measure", "band", "bucket", "attr", "table_id")
-    val bucketAttrs = measures.indices.map(m => Banding.bucketMap(attrs.map(_.sigs(m)), levels(m)))
-    TusIndexes(catalog, signatures, buckets, embeddings, kbPath, attrs, bucketAttrs)
+
+  /** `profiles` with SEM hashed from their classes minus the common ones. TUS discounts statistically common
+    * annotations (its semantic unionability is a significance test, not raw overlap); we emulate the discount by
+    * dropping the classes of more than 20% of the profiles with signatures — without it, ubiquitous classes (City,
+    * GivenName) make every pair of textual columns SEM-identical and the ranking degenerates.
+    */
+  private def withSem(profiles: Seq[Profile]): IndexedSeq[Profile] = {
+    val textual = profiles.filter(_.sigs.nonEmpty)
+    val common = textual.flatMap(_.classes).groupMapReduce(identity)(_ => 1)(_ + _)
+      .collect { case (cls, n) if n > 0.2 * math.max(1, textual.size) => cls }.toSet
+    profiles.toIndexedSeq.map { p =>
+      val kept = p.classes.filterNot(common)
+      if (p.sigs.isEmpty || kept.isEmpty) p else p.copy(sigs = p.sigs.updated(1, MinHash.signature(kept)))
+    }
   }
 
   /** Batched query with stored target signatures (lake members). */
@@ -159,17 +158,16 @@ object Tus {
     TusResult(answers.flatMap(_.ranked), answers.flatMap(_.aligned))
   }
 
-  /** Single-target query including fresh feature extraction + KB mapping of
-    * the target's tokens (the paper's TUS query-time leak). `excludeId`
-    * drops a lake table (e.g. the lake copy of the target) at the probe, as
-    * does the lake table whose id equals `target.id`: a table is never its
-    * own answer.
+  /** Single-target query: the target is profiled on the driver by the index's kernel, with the lake's embeddings
+    * and its distinct tokens looked up in the KB over one connection (the paper's TUS query-time leak); the
+    * common-class discount is taken over its own attributes. `excludeId` drops a lake table (e.g. the lake copy of
+    * the target) at the probe, as does the lake table whose id equals `target.id`: a table is never its own answer.
     */
-  def queryTable(spark: SparkSession, idx: TusIndexes, target: LakeTable,
-                 excludeId: Option[String] = None): TusResult = {
-    val t = index(spark, LakeDf.toLong(spark, Seq(target)), idx.kbPath, reuseEmbeddings = Some(idx.embeddings))
-    t.unpersistAll()
-    searchTable(idx, target.id, t.attrs, excludeId.toSet + target.id)
+  def queryTable(idx: TusIndexes, target: LakeTable, excludeId: Option[String] = None): TusResult = {
+    val cols = target.columns.zipWithIndex.map { case (c, i) => ColumnValues(i, c.name, c.values) }
+    val classes = SyntheticKB.mapTokens(cols.flatMap(c => tokens(new Extent(c.values, cfg))), idx.kbPath)
+    searchTable(idx, target.id, withSem(profileTable(target.id, cols, idx.embeddings.get, classes.get))
+      .filter(_.sigs.nonEmpty), excludeId.toSet + target.id)
   }
 
   /** Target table `tTable` with textual attributes `ts`, in column order.
@@ -184,7 +182,7 @@ object Tus {
     * — a pure max-of-pairs table score degenerates on clean lakes where many
     * tables tie at probability 1.0 on one generic column.
     */
-  private def searchTable(idx: TusIndexes, tTable: String, ts: IndexedSeq[Attr], exclude: Set[String]): TusResult = {
+  private def searchTable(idx: TusIndexes, tTable: String, ts: IndexedSeq[Profile], exclude: Set[String]): TusResult = {
     val n = idx.attrs.size
     val pairP = scala.collection.mutable.LongMap.empty[Double] // target position · n + lake position → probability
     for (ti <- ts.indices; m <- measures.indices) {

@@ -112,7 +112,7 @@ object FeatureExtraction {
   /** Embedding-training input of one table: the words of every non-empty
     * value of its textual attributes, in order, one list per value.
     */
-  private def trainingTokens(columns: Seq[ColumnValues], cfg: D3LConfig): Seq[Seq[String]] =
+  private[repro] def trainingTokens(columns: Seq[ColumnValues], cfg: D3LConfig): Seq[Seq[String]] =
     columns.filterNot(c => new Extent(c.values, cfg).numeric)
       .flatMap(_.values.filter(nonEmpty).map(v => Tokenizer.partWords(v).flatten))
 
@@ -188,18 +188,20 @@ object FeatureExtraction {
     * embedding is the sum over all of its co-occurrences among the first 12
     * words of a value of the co-token's deterministic ±1 base vector (self
     * included so single-token values still embed). Each partition sums its
-    * values' contributions per token before the one shuffle by token. Sums
-    * of ±1 are exact in `Float`, so the result does not depend on the order
-    * or grouping of the terms.
+    * values' contributions per token before the one shuffle by token, and
+    * computes each token's base vector once. Sums of ±1 are exact in
+    * `Float`, so the result does not depend on the order or grouping of the
+    * terms.
     */
   def trainEmbeddings(values: RDD[Seq[String]]): Map[String, Array[Float]] =
     values
       .mapPartitions { it =>
         val sums = mutable.HashMap.empty[String, Array[Float]]
+        val base = mutable.HashMap.empty[String, Array[Float]]
         it.foreach { ws =>
           val ts = ws.take(12)
           val context = ts.foldLeft(new Array[Float](Embeddings.Dim))((acc, u) =>
-            Embeddings.add(acc, Embeddings.baseVector(u)))
+            Embeddings.add(acc, base.getOrElseUpdate(u, Embeddings.baseVector(u))))
           ts.foreach(t => Embeddings.add(sums.getOrElseUpdate(t, new Array[Float](Embeddings.Dim)), context))
         }
         sums.iterator

@@ -71,9 +71,8 @@ object Experiments {
       val long = LakeDf.toLong(spark, lake.tables).cache()
       long.count()
       val (_, tD3l) = Harness.time { D3L.index(spark, long) }
-      val (tusIdx, tTus) = Harness.time { Tus.index(spark, long, kbPath) }
+      val (_, tTus) = Harness.time { Tus.index(spark, long, kbPath) }
       val (_, tAurum) = Harness.time { Aurum.index(spark, long) }
-      tusIdx.unpersistAll()
       long.unpersist()
       Seq(TimeRow("d3l", n, tD3l), TimeRow("tus", n, tTus), TimeRow("aurum", n, tAurum))
     }
@@ -97,7 +96,7 @@ object Experiments {
       }
       val (_, tTus) = Harness.time {
         targets.foreach { t =>
-          Tus.queryTable(spark, f.tus, t, excludeId = Some(t.id)).ranked.filter(_.rank <= k)
+          Tus.queryTable(f.tus, t, excludeId = Some(t.id)).ranked.filter(_.rank <= k)
         }
       }
       Seq(TimeRow("d3l", k, tD3l / targets.size), TimeRow("tus", k, tTus / targets.size))

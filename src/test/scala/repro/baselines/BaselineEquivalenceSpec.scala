@@ -13,9 +13,10 @@ import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
   *    the EKG (edges with their similarities) and the PK/FK graph are equal
   *    exactly, and so are rankings (score, covered columns, rank) and
   *    alignments.
-  *  - TUS: alignments are equal exactly; scores agree within 1e-12 (a sum's
-  *    order is not fixed in Spark); ranks are equal except inside groups of
-  *    reference scores within 1e-12 of each other.
+  *  - TUS: the profiles (catalog, SET/SEM/NL signatures, buckets) and the
+  *    trained model are equal exactly, and so are alignments; scores agree
+  *    within 1e-12 (a sum's order is not fixed in Spark); ranks are equal
+  *    except inside groups of reference scores within 1e-12 of each other.
   */
 class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
 
@@ -56,23 +57,51 @@ class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
     }
   }
 
-  /** Every table of `tables` as a batched TUS target, and `queryTable` of
-    * the first table, once as a lake member excluding the second table and
-    * once renamed, excluding its lake copy.
+  /** TUS's kernel profiles every column as the Spark-SQL build
+    * ([[BaselineSqlReference.tusProfiles]]) does: equal frame schemas,
+    * catalog rows, SET/SEM/NL signatures and buckets, and a trained model
+    * equal to the reference's `trainEmbeddings`. Then every table of `tables`
+    * as a batched target, and `queryTable` of the first table, once as a
+    * lake member excluding the second table and once renamed, excluding its
+    * lake copy, answer as the reference queries over the reference profiles.
     */
   private def checkTus(what: String, tables: Seq[LakeTable]): Unit = {
-    val idx = Tus.index(spark, LakeDf.toLong(spark, tables), kb)
-    try {
-      val ids = tables.map(_.id)
-      val served = Tus.queryAll(idx, ids)
-      assert(served.ranked.map(_.tTable).distinct == ids.filter(served.ranked.map(_.tTable).toSet), s"$what: target order")
-      assertSameTus(s"$what queryAll", served, BaselineSqlReference.tusQueryAll(spark, idx, ids))
-      val (t, other) = (tables.head, tables(1))
-      Seq(t -> Some(other.id), t.copy(id = s"copy-of-${t.id}") -> Some(t.id)).foreach { case (target, ex) =>
-        assertSameTus(s"$what queryTable(${target.id}, excluding $ex)", Tus.queryTable(spark, idx, target, ex),
-          BaselineSqlReference.tusQueryTable(spark, idx, target, ex))
-      }
-    } finally idx.unpersistAll()
+    val long = LakeDf.toLong(spark, tables)
+    val idx = Tus.index(spark, long, kb)
+    val ref = BaselineSqlReference.tusProfiles(spark, long, kb)
+    assert(idx.embeddings.keySet == ref.embeddings.keySet &&
+      idx.embeddings.forall { case (t, v) => v.sameElements(ref.embeddings(t)) }, s"$what: embeddings differ")
+    assertSameProfiles(what, Seq(idx.catalog, idx.signatures, idx.buckets), Seq(ref.catalog, ref.signatures, ref.buckets),
+      idx.attrs.map(_.sigs.count(_.nonEmpty)).sum)
+    val ids = tables.map(_.id)
+    val served = Tus.queryAll(idx, ids)
+    assert(served.ranked.map(_.tTable).distinct == ids.filter(served.ranked.map(_.tTable).toSet), s"$what: target order")
+    assertSameTus(s"$what queryAll", served, BaselineSqlReference.tusQueryAll(spark, ref, ids))
+    val (t, other) = (tables.head, tables(1))
+    Seq(t -> Some(other.id), t.copy(id = s"copy-of-${t.id}") -> Some(t.id)).foreach { case (target, ex) =>
+      assertSameTus(s"$what queryTable(${target.id}, excluding $ex)", Tus.queryTable(idx, target, ex),
+        BaselineSqlReference.tusQueryTable(spark, ref, kb, target, ex))
+    }
+  }
+
+  /** The `catalog`, `signatures` and `buckets` frames `got` have the schemas
+    * and rows of the reference's `want`, with `nSigs` signatures, each
+    * (attr, measure) signature equal.
+    */
+  private def assertSameProfiles(what: String, got: Seq[DataFrame], want: Seq[DataFrame], nSigs: Int): Unit = {
+    got.zip(want).foreach { case (g, w) =>
+      assert(g.schema == w.schema, s"$what: ${w.columns.mkString(", ")} schemas differ")
+    }
+    val (Seq(catalog, signatures, buckets), Seq(wantCatalog, wantSignatures, wantBuckets)) = (got, want)
+    def rows(df: DataFrame) = df.collect().toSeq.map(_.toSeq).sortBy(_.toString)
+    assert(rows(catalog) == rows(wantCatalog), s"$what: catalogs differ")
+    def sigs(df: DataFrame) =
+      df.select("attr", "measure", "sig").collect().map(r => (r.getString(0), r.getString(1)) -> r.getSeq[Long](2)).toMap
+    val (g, w) = (sigs(signatures), sigs(wantSignatures))
+    assert(g.keySet == w.keySet && g.size == nSigs, s"$what: different signatures")
+    val differ = w.keys.filter(k => g(k) != w(k)).toSeq.sorted
+    assert(differ.isEmpty, s"$what: signatures differ for ${differ.mkString(", ")}")
+    assert(rows(buckets) == rows(wantBuckets), s"$what: buckets differ")
   }
 
   /** Aurum's kernel profiles every column as the Spark-SQL profiling
@@ -86,19 +115,8 @@ class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
     val long = LakeDf.toLong(spark, tables)
     val idx = Aurum.index(spark, long)
     val ref = BaselineSqlReference.aurumProfiles(spark, long)
-    Seq[Aurum.AurumIndexes => DataFrame](_.catalog, _.signatures, _.buckets)
-      .zip(Seq(ref.catalog, ref.signatures, ref.buckets)).foreach { case (frame, want) =>
-        assert(frame(idx).schema == want.schema, s"$what: ${want.columns.mkString(", ")} schemas differ")
-      }
-    def rows(df: DataFrame) = df.collect().toSeq.map(_.toSeq).sortBy(_.toString)
-    assert(rows(idx.catalog) == rows(ref.catalog), s"$what: catalogs differ")
-    def sigs(df: DataFrame) =
-      df.select("attr", "measure", "sig").collect().map(r => (r.getString(0), r.getString(1)) -> r.getSeq[Long](2)).toMap
-    val (got, want) = (sigs(idx.signatures), sigs(ref.signatures))
-    assert(got.keySet == want.keySet && got.size == idx.profiles.map(_.sigs.length).sum, s"$what: different signatures")
-    val differ = want.keys.filter(k => got(k) != want(k)).toSeq.sorted
-    assert(differ.isEmpty, s"$what: signatures differ for ${differ.mkString(", ")}")
-    assert(rows(idx.buckets) == rows(ref.buckets), s"$what: buckets differ")
+    assertSameProfiles(what, Seq(idx.catalog, idx.signatures, idx.buckets), Seq(ref.catalog, ref.signatures, ref.buckets),
+      idx.profiles.map(_.sigs.length).sum)
     val ranges = ref.ranges.collect().map(r => r.getString(0) -> (r.getDouble(1), r.getDouble(2))).toMap
     assert(idx.profiles.flatMap(p => p.range.map(p.attr -> _)).toMap == ranges, s"$what: numeric ranges differ")
 

@@ -5,19 +5,20 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.Window
 import scala.jdk.CollectionConverters._
 import repro.lake.{LakeDf, LakeTable}
-import repro.core.D3LConfig
+import repro.core.{D3LConfig, FeatureExtraction}
 import repro.lsh.{Banding, MinHash, RandomProjection}
 import repro.text.{Embeddings, Tokenizer}
 
 /** Reference implementations of the TUS and Aurum queries as Spark SQL: TUS
   * over its `buckets`/`signatures` frames (bucket join, similarity UDF,
   * `cume_dist` windows, `row_number`), Aurum over a frame of its EKG edges;
-  * and of Aurum's build: its profiling as Spark-SQL aggregations and joins
-  * over the long lake, its EKG as the LSH self-join over those profiles.
-  * The served queries (`Tus.queryAll`/`queryTable`, `Aurum.queryAll`, plain
-  * Scala on the driver) and Aurum's kernel and driver EKG (`Aurum.index`)
-  * must give the same answers; `BaselineEquivalenceSpec` checks that they
-  * do. Answers are read from the frames into the systems' typed values here.
+  * and of both builds: TUS's and Aurum's profiling as Spark-SQL aggregations
+  * and joins over the long lake, Aurum's EKG as the LSH self-join over its
+  * profiles. The served queries (`Tus.queryAll`/`queryTable`,
+  * `Aurum.queryAll`, plain Scala on the driver) and the kernels and driver
+  * EKG (`Tus.index`, `Aurum.index`) must give the same answers;
+  * `BaselineEquivalenceSpec` checks that they do. Answers are read from the
+  * frames into the systems' typed values here.
   */
 object BaselineSqlReference {
 
@@ -31,29 +32,104 @@ object BaselineSqlReference {
     }
   })
 
-  /** Batched TUS query with the stored signatures of `targetIds`. */
-  def tusQueryAll(spark: SparkSession, idx: Tus.TusIndexes, targetIds: Seq[String]): Tus.TusResult = {
+  /** TUS's profiles as Spark-SQL frames with the schemas of
+    * `Tus.TusIndexes`' `catalog`, `signatures` and `buckets`, and the token
+    * → vector model the NL signatures were built with.
+    */
+  final case class TusProfiles(catalog: DataFrame, signatures: DataFrame, buckets: DataFrame,
+                               embeddings: Map[String, Array[Float]])
+
+  /** TUS's build of a long lake in Spark SQL: a `first(col_name)` catalog
+    * with a numeric UDF over `concat_ws` attribute ids; the textual values
+    * joined to their tokens and made `distinct`; SET hashed per attribute
+    * (`groupByKey`/`mapGroups`); the distinct tokens mapped through the KB
+    * per partition and joined back for SEM, minus the classes of more than
+    * 20% of the attributes with a token; NL as the mean of the tokens'
+    * vectors, joined with the model (`reuseEmbeddings`, or one trained on
+    * the textual values). The catalog and signatures are collected into
+    * local frames, so every reader sees one evaluation of them.
+    */
+  def tusProfiles(spark: SparkSession, lakeLong: DataFrame, kbPath: String,
+                  reuseEmbeddings: Option[Map[String, Array[Float]]] = None): TusProfiles = {
     import spark.implicits._
-    val targets = targetIds.toDF("table_id")
-    tusQueryWith(spark, idx.buckets.join(targets, "table_id"), idx.signatures.join(targets, "table_id"), idx,
-      Set.empty)
+    def local(df: DataFrame) = spark.createDataFrame(df.collect().toSeq.asJava, df.schema)
+    val lake = lakeLong.withColumn("attr", concat_ws("#", $"table_id", $"col_idx"))
+    val nonEmpty = $"value".isNotNull && length(trim($"value")) > 0
+    val isNumUdf = udf((v: String) => Tokenizer.isNumericValue(v))
+    val catalog = local(lake.groupBy($"attr", $"table_id", $"col_idx")
+      .agg(
+        first($"col_name") as "col_name",
+        sum(when(nonEmpty, 1L).otherwise(0L)) as "n_values",
+        sum(when(nonEmpty && isNumUdf($"value"), 1L).otherwise(0L)) as "n_numeric")
+      .withColumn("is_numeric", $"n_values" > 0 && $"n_numeric" >= lit(D3LConfig().numericFrac) * $"n_values"))
+
+    val values = lake.filter(nonEmpty)
+      .select($"attr", $"value")
+      .join(catalog.filter(!$"is_numeric").select("attr"), "attr")
+      .as[(String, String)]
+      .map { case (attr, v) => (attr, Tokenizer.partWords(v).flatten) }
+    val attrTokens = values.flatMap { case (attr, ws) => ws.map(w => (attr, w)) }
+      .toDF("attr", "token").distinct()
+
+    val sigSet = attrTokens.as[(String, String)].groupByKey(_._1)
+      .mapGroups { (a, it) => (a, Tus.Set_, MinHash.signature(it.map(_._2).toSeq)) }
+
+    val classes = attrTokens.select("token").distinct().as[String]
+      .mapPartitions(SyntheticKB.mapTokens(_, kbPath).iterator).toDF("token", "cls")
+    val attrClasses = attrTokens.join(classes, Seq("token")).select("attr", "cls").distinct()
+    val nTextualAttrs = math.max(1L, attrTokens.select("attr").distinct().count())
+    val commonClasses = attrClasses.groupBy("cls")
+      .agg(count(lit(1)) as "df")
+      .filter($"df" > lit(0.2) * nTextualAttrs)
+      .select("cls")
+    val sigSem = attrClasses.join(commonClasses, Seq("cls"), "left_anti")
+      .select("attr", "cls")
+      .as[(String, String)].groupByKey(_._1)
+      .mapGroups { (a, it) => (a, Tus.Sem, MinHash.signature(it.map(_._2).toSeq)) }
+
+    val embeddings = reuseEmbeddings.getOrElse(FeatureExtraction.trainEmbeddings(values.rdd.map(_._2)))
+    val sigNl = attrTokens.join(embeddings.toSeq.toDF("token", "vec"), Seq("token"))
+      .select($"attr", $"vec").as[(String, Array[Float])]
+      .groupByKey(_._1)
+      .mapGroups { (a, it) => (a, Tus.Nl, RandomProjection.signature(Embeddings.mean(it.map(_._2).toSeq))) }
+
+    val signatures = local(sigSet.union(sigSem).union(sigNl)
+      .toDF("attr", "measure", "sig")
+      .join(catalog.select("attr", "table_id", "col_idx"), "attr"))
+    val buckets = signatures
+      .select($"attr", $"table_id", $"measure", $"sig").as[(String, String, String, Array[Long])]
+      .flatMap { case (attr, tid, m, sig) =>
+        val levels = if (m == Tus.Nl) Banding.simhashLevels else Banding.minhashLevels
+        Banding.buckets(sig, levels).map { case (band, bucket) => (m, band, bucket, attr, tid) }
+      }
+      .toDF("measure", "band", "bucket", "attr", "table_id")
+    TusProfiles(catalog, signatures, buckets, embeddings)
   }
 
-  /** Single-target TUS query: the target is indexed on its own with the
-    * lake's embeddings, and `excludeId` is dropped at the probe.
+  /** Batched TUS query over the lake's profiles `p` (of [[tusProfiles]]),
+    * with the stored signatures of `targetIds`.
     */
-  def tusQueryTable(spark: SparkSession, idx: Tus.TusIndexes, target: LakeTable,
+  def tusQueryAll(spark: SparkSession, p: TusProfiles, targetIds: Seq[String]): Tus.TusResult = {
+    import spark.implicits._
+    val targets = targetIds.toDF("table_id")
+    tusQueryWith(spark, p.buckets.join(targets, "table_id"), p.signatures.join(targets, "table_id"), p, Set.empty)
+  }
+
+  /** Single-target TUS query: the target is profiled on its own by
+    * [[tusProfiles]] with the lake's embeddings, and `excludeId` is dropped
+    * at the probe.
+    */
+  def tusQueryTable(spark: SparkSession, p: TusProfiles, kbPath: String, target: LakeTable,
                     excludeId: Option[String]): Tus.TusResult = {
-    val t = Tus.index(spark, LakeDf.toLong(spark, Seq(target)), idx.kbPath, reuseEmbeddings = Some(idx.embeddings))
-    try tusQueryWith(spark, t.buckets, t.signatures, idx, excludeId.toSet)
-    finally t.unpersistAll()
+    val t = tusProfiles(spark, LakeDf.toLong(spark, Seq(target)), kbPath, reuseEmbeddings = Some(p.embeddings))
+    tusQueryWith(spark, t.buckets, t.signatures, p, excludeId.toSet)
   }
 
   private def tusQueryWith(spark: SparkSession, tBuckets: DataFrame, tSignatures: DataFrame,
-                           idx: Tus.TusIndexes, exclude: Set[String]): Tus.TusResult = {
+                           lake: TusProfiles, exclude: Set[String]): Tus.TusResult = {
     import spark.implicits._
     val tb = tBuckets.select($"measure", $"band", $"bucket", $"attr" as "t_attr", $"table_id" as "t_table")
-    val sb = idx.buckets.select($"measure", $"band", $"bucket", $"attr" as "s_attr", $"table_id" as "s_table")
+    val sb = lake.buckets.select($"measure", $"band", $"bucket", $"attr" as "s_attr", $"table_id" as "s_table")
       .filter(!$"s_table".isin(exclude.toSeq: _*))
     val collided = tb.join(sb, Seq("measure", "band", "bucket"))
       .filter($"t_table" =!= $"s_table")
@@ -61,7 +137,7 @@ object BaselineSqlReference {
       .distinct()
 
     val tSig = tSignatures.select($"attr" as "t_attr", $"measure", $"sig" as "t_sig", $"col_idx" as "t_col")
-    val sSig = idx.signatures.select($"attr" as "s_attr", $"measure", $"sig" as "s_sig", $"col_idx" as "s_col")
+    val sSig = lake.signatures.select($"attr" as "s_attr", $"measure", $"sig" as "s_sig", $"col_idx" as "s_col")
     val scored = collided
       .join(tSig, Seq("t_attr", "measure"))
       .join(sSig, Seq("s_attr", "measure"))

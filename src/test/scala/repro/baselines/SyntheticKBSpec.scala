@@ -46,9 +46,7 @@ class SyntheticKBSpec extends SparkSpec {
   }
 
   test("mapTokens resolves known tokens to their classes") {
-    import spark.implicits._
-    val toks = Seq("manchester", "street", "ltd", "zzzunknown").toDF("token")
-    val mapped = SyntheticKB.mapTokens(toks, dbPath).as[(String, String)].collect().toMap
+    val mapped = SyntheticKB.mapTokens(Seq("manchester", "street", "ltd", "zzzunknown"), dbPath)
     assert(mapped("manchester") == "City")
     assert(mapped("street") == "StreetType")
     assert(mapped("ltd") == "Organization")
@@ -56,21 +54,17 @@ class SyntheticKBSpec extends SparkSpec {
   }
 
   test("mapTokens deduplicates input tokens") {
-    import spark.implicits._
-    val toks = Seq("manchester", "manchester", "manchester").toDF("token")
-    assert(SyntheticKB.mapTokens(toks, dbPath).count() == 1)
+    assert(SyntheticKB.mapTokens(Iterator("manchester", "manchester", "manchester"), dbPath) == Map("manchester" -> "City"))
   }
 
   test("mapTokens on empty input is empty") {
-    import spark.implicits._
-    assert(SyntheticKB.mapTokens(Seq.empty[String].toDF("token"), dbPath).count() == 0)
+    assert(SyntheticKB.mapTokens(Nil, dbPath).isEmpty)
   }
 
   test("city names from the vocabulary resolve to City") {
-    import spark.implicits._
-    val cities = repro.lake.Vocab.cities.take(10).map(_.toLowerCase).toDF("token")
-    val mapped = SyntheticKB.mapTokens(cities, dbPath).collect()
-    assert(mapped.length == 10)
-    mapped.foreach(r => assert(r.getString(1) == "City"))
+    val cities = repro.lake.Vocab.cities.take(10).map(_.toLowerCase)
+    val mapped = SyntheticKB.mapTokens(cities, dbPath)
+    assert(mapped.size == 10)
+    mapped.values.foreach(c => assert(c == "City"))
   }
 }

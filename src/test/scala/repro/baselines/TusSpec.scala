@@ -2,11 +2,11 @@ package repro.baselines
 
 import java.nio.file.Files
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
-import repro.lake.{Generators, LakeDf}
+import repro.core.FeatureExtraction
+import repro.lake.{Generators, LakeDf, MalformedLakes}
 import repro.lsh.{Banding, RandomProjection, SimhashReference}
 
-class TusSpec extends SparkSpec {
+class TusSpec extends MalformedLakes {
 
   private lazy val kb = SyntheticKB.createDb(
     Files.createTempDirectory("tuskb").resolve("kb.duckdb").toString)
@@ -86,10 +86,8 @@ class TusSpec extends SparkSpec {
     val plain = lake.tables.take(6)
     val hashed = plain.map(t => t.copy(id = s"lake#${t.id}"))
     def aligned(tables: Seq[repro.lake.LakeTable], strip: String => String) = {
-      val i = Tus.index(spark, LakeDf.toLong(spark, tables), kb)
-      try Tus.queryAll(i, tables.take(2).map(_.id)).aligned
+      Tus.queryAll(Tus.index(spark, LakeDf.toLong(spark, tables), kb), tables.take(2).map(_.id)).aligned
         .map(a => (strip(a.tTable), a.tCol, strip(a.sTable), a.sCol) -> a.bestP).toMap
-      finally i.unpersistAll()
     }
     val want = aligned(plain, identity)
     assert(want.nonEmpty)
@@ -98,16 +96,16 @@ class TusSpec extends SparkSpec {
 
   test("queryTable works for an ad-hoc target and can exclude its lake copy") {
     val t = lake.tables.head
-    val single = Tus.queryTable(spark, idx, t, excludeId = Some(t.id))
+    val single = Tus.queryTable(idx, t, excludeId = Some(t.id))
     assert(!single.ranked.exists(_.sTable == t.id))
     assert(single.ranked.nonEmpty)
   }
 
   test("queryTable drops excludeId and the target's own id at the probe") {
     val (t, other) = (lake.tables.head, lake.tables(1))
-    val renamed = Tus.queryTable(spark, idx, t.copy(id = s"copy-of-${t.id}"), excludeId = Some(other.id))
+    val renamed = Tus.queryTable(idx, t.copy(id = s"copy-of-${t.id}"), excludeId = Some(other.id))
     assert(renamed.ranked.exists(_.sTable == t.id), "the lake copy of a renamed target is a candidate")
-    val member = Tus.queryTable(spark, idx, t, excludeId = Some(other.id))
+    val member = Tus.queryTable(idx, t, excludeId = Some(other.id))
     Seq(renamed, member).foreach { res =>
       assert(!res.ranked.exists(_.sTable == other.id) && !res.aligned.exists(_.sTable == other.id))
       assert(res.ranked.map(_.rank) == (1 to res.ranked.size), "ranks leave a gap")
@@ -124,7 +122,45 @@ class TusSpec extends SparkSpec {
   test("queryTable leaves no persisted RDD behind") {
     idx // index built before the snapshot
     val t = lake.tables.head
-    assert(persistedBy(Tus.queryTable(spark, idx, t, excludeId = Some(t.id))).isEmpty,
+    assert(persistedBy(Tus.queryTable(idx, t, excludeId = Some(t.id))).isEmpty,
       "queryTable left persisted RDDs behind")
   }
+
+  test("queryTable starts no Spark job") {
+    idx // index built before measuring
+    val t = lake.tables.head
+    val jobs = jobsStartedBy(Tus.queryTable(idx, t.copy(id = s"copy-of-${t.id}"), excludeId = Some(t.id)))
+    assert(jobs == 0, s"$jobs Spark jobs started by Tus.queryTable")
+  }
+
+  test("Tus.index leaves nothing persisted") {
+    val added = persistedBy(Tus.index(spark, LakeDf.toLong(spark, lake.tables), kb))
+    assert(added.isEmpty, s"${added.size} datasets persisted by the build")
+  }
+
+  test("Tus.index runs three Spark jobs: training, the KB lookups and the profiles' collect; two with a model") {
+    val long = LakeDf.toLong(spark, lake.tables)
+    val trained = jobsStartedBy(Tus.index(spark, long, kb))
+    assert(trained == 3, s"$trained Spark jobs started by Tus.index")
+    val reused = jobsStartedBy(Tus.index(spark, long, kb, reuseEmbeddings = Some(idx.embeddings)))
+    assert(reused == 2, s"$reused Spark jobs started by Tus.index with a model")
+  }
+
+  test("Tus's trained model is D3L's model of the same lake") {
+    val want = FeatureExtraction.extract(spark, LakeDf.toLong(spark, lake.tables)).embeddings
+    assert(idx.embeddings.keySet == want.keySet && idx.embeddings.forall { case (t, v) => v.sameElements(want(t)) })
+  }
+
+  test("Tus's index does not depend on the long lake's row order or partitioning") {
+    def shape(i: Tus.TusIndexes) = (
+      i.profiles.map(p => (p.attr, p.colName, p.nValues, p.nNumeric, p.isNumeric, p.sigs.map(_.toSeq), p.classes)),
+      Tus.queryAll(i, targets))
+    val want = shape(idx)
+    val long = LakeDf.toLong(spark, lake.tables)
+    Seq("shuffled rows" -> long.orderBy(rand(7)), "7 partitions" -> long.repartition(7)).foreach {
+      case (how, variant) => assert(shape(Tus.index(spark, variant, kb)) == want, how)
+    }
+  }
+
+  rejectsMalformedLakes("Tus.index", Tus.index(spark, _, kb), lake.tables)
 }
