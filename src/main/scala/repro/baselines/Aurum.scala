@@ -6,7 +6,7 @@ import org.apache.spark.sql.types.StructType
 import scala.collection.mutable
 import repro.core.{D3LConfig, FeatureExtraction}
 import repro.core.FeatureExtraction.{ColumnValues, Extent, rejectingMalformed}
-import repro.lsh.{Banding, MinHash, RandomProjection}
+import repro.lsh.{Banding, BucketIndex, MinHash, RandomProjection}
 import repro.text.{Embeddings, Tokenizer}
 
 /** Aurum baseline (Fernandez et al., ICDE'18), per §V-A of the D³L paper.
@@ -161,7 +161,7 @@ object Aurum {
   /** D³L's numeric-attribute rule, which Aurum's catalog applies too. */
   private val cfg = D3LConfig()
   private val measures = IndexedSeq(An, Ac, At)
-  private val levels = measures.map(m => if (m == At) Banding.simhashLevels else Banding.minhashLevels)
+  private val levels = BucketIndex.levels(measures, At)
 
   /** Spark SQL's `greatest` and `least`, which order NaN above every number. */
   private def greatest(x: Double, y: Double): Double = if (x.isNaN || y.isNaN) Double.NaN else math.max(x, y)
@@ -182,17 +182,13 @@ object Aurum {
       best(k) = math.max(best.getOrElse(k, sim), sim)
     }
 
-    measures.indices.foreach { m =>
-      val sig = profiles.map(p => if (m < p.sigs.length) p.sigs(m) else Array.emptyLongArray)
-      val bucketAttrs = Banding.bucketMap(sig, levels(m))
-      val seen = Array.fill(n)(-1) // seen(b) == a: pair (a, b) already estimated for this measure
-      for (a <- 0 until n; key <- Banding.buckets(sig(a), levels(m)); b <- bucketAttrs(key))
-        if (b > a && seen(b) != a && profiles(a).tableId != profiles(b).tableId) {
-          seen(b) = a
-          offer(a, b, if (measures(m) == At) math.max(0.0, RandomProjection.estimateCosine(sig(a), sig(b)))
-                      else MinHash.estimateJaccard(sig(a), sig(b)))
-        }
-    }
+    def sig(a: Int, m: Int) = if (m < profiles(a).sigs.length) profiles(a).sigs(m) else Array.emptyLongArray
+    val lsh = BucketIndex(levels, n)(sig)
+    val seen = new Array[Int](n) // column → mark of the last (measure, column) walk meeting it
+    for (m <- measures.indices; a <- 0 until n)
+      lsh.candidates(lsh.bucketsOf(a)(m), seen, m * n + a + 1) { b =>
+        if (b > a && profiles(a).tableId != profiles(b).tableId) offer(a, b, lsh.similarity(m, sig(a, m), sig(b, m)))
+      }
 
     val numeric = profiles.indices.flatMap(i => profiles(i).range.map(i -> _))
     for (x <- numeric.indices; y <- x + 1 until numeric.size) {
@@ -204,35 +200,39 @@ object Aurum {
       }
     }
 
-    val pairs = best.toIndexedSeq.sortBy(_._1)
-      .map { case (k, sim) => (profiles((k / n).toInt), profiles((k % n).toInt), sim) }
-    val edges = pairs.collect { case (a, b, sim) if sim >= EdgeThreshold =>
-      Edge(a.attr, a.tableId, a.colIdx, b.attr, b.tableId, b.colIdx, sim)
-    }
-
-    // --- PK/FK candidates for Aurum+J ---------------------------------------
-    // Uniqueness + *any weak* inclusion evidence, per the paper's account of
-    // Aurum's join discovery ("built on uniqueness of values") — not the
-    // strong EKG edges, which would make Aurum+J stricter than it really is.
+    // The pairs in (a, b) order: the edges, and Aurum+J's PK/FK candidates. These take uniqueness + *any weak*
+    // inclusion evidence, per the paper's account of Aurum's join discovery ("built on uniqueness of values") —
+    // not the strong EKG edges, which would make Aurum+J stricter than it really is.
     def pk(p: Profile) = p.uniqueness >= 0.85 && !p.isNumeric
-    val pkfk = pairs
-      .collect { case (a, b, sim) if sim >= 0.15 && (pk(a) || pk(b)) => Seq(a.tableId -> b.tableId, b.tableId -> a.tableId) }
-      .flatten.groupMap(_._1)(_._2).map { case (t, ns) => t -> ns.toSet }
-    (edges, pkfk)
+    val keys = new Array[Long](best.size)
+    var i = 0
+    best.foreachKey { k => keys(i) = k; i += 1 }
+    java.util.Arrays.sort(keys)
+    val edges = IndexedSeq.newBuilder[Edge]
+    val pkfk = mutable.Map.empty[String, Set[String]].withDefaultValue(Set.empty)
+    keys.foreach { k =>
+      val a = profiles((k / n).toInt)
+      val b = profiles((k % n).toInt)
+      val sim = best(k)
+      if (sim >= EdgeThreshold) edges += Edge(a.attr, a.tableId, a.colIdx, b.attr, b.tableId, b.colIdx, sim)
+      if (sim >= 0.15 && (pk(a) || pk(b))) { pkfk(a.tableId) += b.tableId; pkfk(b.tableId) += a.tableId }
+    }
+    (edges.result(), pkfk.toMap)
   }
 
-  /** Query the EKG for each target (lake member): every edge incident to a
+  /** Query the EKG for each target (a table of the index): every edge incident to a
     * target column aligns it with the edge's other column, at the edge's
     * similarity; each lake table is ranked by certainty (score desc, then
     * covered target columns desc, then table id).
     */
   def queryAll(idx: AurumIndexes, targetIds: Seq[String]): AurumResult = {
-    val answers = targetIds.distinct.toIndexedSeq.map { t =>
-      val aligned = idx.incident.getOrElse(t, IndexedSeq.empty)
-        .map(e => if (e.aTable == t) (e.aCol, e.bTable, e.bCol, e.sim) else (e.bCol, e.aTable, e.aCol, e.sim))
-        .groupMapReduce(h => (h._1, h._2, h._3))(_._4)(math.max)
-        .map { case ((tc, s, sc), sim) => Aligned(t, tc, s, sc, sim) }.toIndexedSeq
-        .sortBy(a => (a.tCol, a.sTable, a.sCol))
+    val ids = targetIds.distinct.toIndexedSeq
+    val missing = ids.filterNot(idx.profiles.map(_.tableId).toSet)
+    require(missing.isEmpty, s"tables not in the index: ${missing.mkString(", ")}")
+    val answers = ids.map { t =>
+      val aligned = idx.incident.getOrElse(t, IndexedSeq.empty).map { e => // one edge per column pair
+        if (e.aTable == t) Aligned(t, e.aCol, e.bTable, e.bCol, e.sim) else Aligned(t, e.bCol, e.aTable, e.aCol, e.sim)
+      }.sortBy(a => (a.tCol, a.sTable, a.sCol))
       val ranked = aligned.groupBy(_.sTable)
         .map { case (s, as) => (s, as.map(_.sim).max, as.map(_.tCol).distinct.size) }.toIndexedSeq
         .sortBy { case (s, score, nCov) => (score, nCov, s) }(

@@ -6,7 +6,7 @@ import org.apache.spark.sql.types.StructType
 import repro.core.{D3LConfig, FeatureExtraction}
 import repro.core.FeatureExtraction.{ColumnValues, Extent, rejectingMalformed}
 import repro.lake.LakeTable
-import repro.lsh.{Banding, MinHash, RandomProjection}
+import repro.lsh.{Banding, BucketIndex, MinHash, RandomProjection}
 import repro.stats.Ccdf
 import repro.text.{Embeddings, Tokenizer}
 
@@ -57,9 +57,9 @@ object Tus {
 
     /** The served attributes: the profiles with signatures. */
     val attrs: IndexedSeq[Profile] = profiles.filter(_.sigs.nonEmpty)
-    /** Per measure ordinal, `attrs`' [[Banding.bucketMap]]. */
-    private[Tus] val bucketAttrs: IndexedSeq[Map[(Int, Long), Array[Int]]] =
-      measures.indices.map(m => Banding.bucketMap(attrs.map(_.sigs(m)), levels(m)))
+    /** The LSH indexes: `attrs`' buckets, one group per measure ordinal. */
+    private[Tus] val lsh: BucketIndex =
+      BucketIndex(BucketIndex.levels(measures, Nl), attrs.size)((i, m) => attrs(i).sigs(m))
 
     lazy val catalog: DataFrame = spark.createDataFrame(asList(profiles.map(p => Row(p.attr, p.tableId, p.colIdx,
       p.colName, p.nValues, p.nNumeric, p.isNumeric)): _*), StructType.fromDDL(
@@ -70,7 +70,7 @@ object Tus {
       .toDF("attr", "measure", "sig", "table_id", "col_idx")
     lazy val buckets: DataFrame = signed
       .flatMap { case (p, m) =>
-        Banding.buckets(p.sigs(m), levels(m)).map { case (band, bucket) => (measures(m), band, bucket, p.attr, p.tableId) }
+        Banding.buckets(p.sigs(m), lsh.levels(m)).map { case (band, bucket) => (measures(m), band, bucket, p.attr, p.tableId) }
       }
       .toDF("measure", "band", "bucket", "attr", "table_id")
 
@@ -89,10 +89,6 @@ object Tus {
 
   val Set_ = "SET"; val Sem = "SEM"; val Nl = "NL"
   val measures: Seq[String] = Seq(Set_, Sem, Nl)
-
-  /** Banding levels per measure ordinal. */
-  private val levels: IndexedSeq[Seq[Banding.Level]] =
-    measures.map(m => if (m == Nl) Banding.simhashLevels else Banding.minhashLevels).toIndexedSeq
 
   /** D³L's numeric-attribute rule, which TUS's catalog applies too. */
   private val cfg = D3LConfig()
@@ -151,10 +147,15 @@ object Tus {
     }
   }
 
-  /** Batched query with stored target signatures (lake members). */
+  /** Batched query of tables of the index, probed by their own buckets. */
   def queryAll(idx: TusIndexes, targetIds: Seq[String]): TusResult = {
-    val answers = targetIds.distinct.toIndexedSeq
-      .map(t => searchTable(idx, t, idx.attrs.filter(_.tableId == t), Set(t)))
+    val ids = targetIds.distinct.toIndexedSeq
+    val missing = ids.filterNot(idx.profiles.map(_.tableId).toSet)
+    require(missing.isEmpty, s"tables not in the index: ${missing.mkString(", ")}")
+    val answers = ids.map { t =>
+      val ts = idx.attrs.indices.filter(idx.attrs(_).tableId == t)
+      searchTable(idx, t, ts.map(idx.attrs), ts.map(idx.lsh.bucketsOf), Set(t))
+    }
     TusResult(answers.flatMap(_.ranked), answers.flatMap(_.aligned))
   }
 
@@ -166,11 +167,12 @@ object Tus {
   def queryTable(idx: TusIndexes, target: LakeTable, excludeId: Option[String] = None): TusResult = {
     val cols = target.columns.zipWithIndex.map { case (c, i) => ColumnValues(i, c.name, c.values) }
     val classes = SyntheticKB.mapTokens(cols.flatMap(c => tokens(new Extent(c.values, cfg))), idx.kbPath)
-    searchTable(idx, target.id, withSem(profileTable(target.id, cols, idx.embeddings.get, classes.get))
-      .filter(_.sigs.nonEmpty), excludeId.toSet + target.id)
+    val ts = withSem(profileTable(target.id, cols, idx.embeddings.get, classes.get)).filter(_.sigs.nonEmpty)
+    searchTable(idx, target.id, ts, ts.map(p => Array.tabulate(measures.size)(m => idx.lsh.resolve(m, p.sigs(m)))),
+      excludeId.toSet + target.id)
   }
 
-  /** Target table `tTable` with textual attributes `ts`, in column order.
+  /** Target table `tTable` with textual attributes `ts`, in column order, and their `buckets` per measure.
     * Per measure and target attribute, the lake attributes sharing a bucket
     * with it, outside the `exclude`d tables, are its candidates; a
     * candidate's similarity (Jaccard, or max(0, cosine) for NL) becomes a
@@ -182,23 +184,21 @@ object Tus {
     * — a pure max-of-pairs table score degenerates on clean lakes where many
     * tables tie at probability 1.0 on one generic column.
     */
-  private def searchTable(idx: TusIndexes, tTable: String, ts: IndexedSeq[Profile], exclude: Set[String]): TusResult = {
+  private def searchTable(idx: TusIndexes, tTable: String, ts: IndexedSeq[Profile],
+                          buckets: IndexedSeq[Array[Array[Int]]], exclude: Set[String]): TusResult = {
     val n = idx.attrs.size
     val pairP = scala.collection.mutable.LongMap.empty[Double] // target position · n + lake position → probability
+    val seen = new Array[Int](n) // lake position → mark of the last (target attribute, measure) walk meeting it
     for (ti <- ts.indices; m <- measures.indices) {
-      val sig = ts(ti).sigs(m)
-      val cands = Banding.buckets(sig, levels(m))
-        .flatMap(idx.bucketAttrs(m).getOrElse(_, Array.emptyIntArray))
-        .distinct.filterNot(si => exclude.contains(idx.attrs(si).tableId))
-      val sims = cands.map { si =>
-        val other = idx.attrs(si).sigs(m)
-        if (measures(m) == Nl) math.max(0.0, RandomProjection.estimateCosine(sig, other))
-        else MinHash.estimateJaccard(sig, other)
-      }
+      val found = new scala.collection.mutable.ArrayBuilder.ofInt
+      idx.lsh.candidates(buckets(ti)(m), seen, ti * measures.size + m + 1)(si =>
+        if (!exclude.contains(idx.attrs(si).tableId)) found.addOne(si))
+      val cands = found.result()
+      val sims = cands.map(si => idx.lsh.similarity(m, ts(ti).sigs(m), idx.attrs(si).sigs(m)))
       val sorted = sims.sorted(Ordering.Double.TotalOrdering).toArray
-      cands.zip(sims).foreach { case (si, sim) =>
-        val k = ti.toLong * n + si
-        pairP(k) = math.max(pairP.getOrElse(k, 0.0), Ccdf.upperBound(sorted, sim).toDouble / sorted.length)
+      cands.indices.foreach { j =>
+        val k = ti.toLong * n + cands(j)
+        pairP(k) = math.max(pairP.getOrElse(k, 0.0), Ccdf.upperBound(sorted, sims(j)).toDouble / sorted.length)
       }
     }
     val aligned = pairP.keys.toIndexedSeq.sorted.map { k =>

@@ -7,7 +7,6 @@ import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import repro.lake.LakeTable
-import repro.lsh.{MinHash, RandomProjection}
 import repro.stats.{Ccdf, KolmogorovSmirnov}
 
 /** The D³L discovery pipeline (§III): LSH bucket probe → per-pair distance
@@ -64,16 +63,7 @@ object D3L {
 
   private val EvN = Evidence.all.indexOf(Evidence.N)
   private val EvF = Evidence.all.indexOf(Evidence.F)
-  private val EvE = Evidence.all.indexOf(Evidence.E)
   private val EvD = Evidence.all.indexOf(Evidence.D)
-
-  /** Distance of two served signatures of evidence ordinal `e`: Jaccard
-    * estimate for ℕ/𝕍/𝔽, cosine estimate of the simhash bits for 𝔼, both
-    * mapped to [0,1] distances.
-    */
-  private def distance(e: Int, a: Array[Long], b: Array[Long]): Double =
-    if (e == EvE) math.min(1.0, math.max(0.0, 1.0 - RandomProjection.estimateCosine(a, b)))
-    else 1.0 - MinHash.estimateJaccard(a, b)
 
   /** Build the lake's index on Spark into its driver-resident form, its
     * [[ServingIndex]] included.
@@ -183,27 +173,17 @@ object D3L {
     val slot = Array.fill(lake.tableIds.size)(-1)
 
     // ---- LSH probe: a shared (evidence, band, bucket) = candidate pair -----
-    val seen = new Array[Int](Evidence.indexed.size * nAttrs) // (evidence, lake attr) → target position + 1
+    val seen = new Array[Int](nAttrs) // lake attr → mark of the last (target attr, evidence) walk meeting it
     val tEnd = new Array[Int](ts.size)
     ts.indices.foreach { ti =>
       val t = ts(ti)
       Evidence.indexed.indices.foreach { e =>
-        val base = e * nAttrs
-        t.buckets(e).foreach { b =>
-          val post = lake.probe(b)
-          var i = 0
-          while (i < post.length) {
-            val si = post(i)
-            if (seen(base + si) != ti + 1) {
-              seen(base + si) = ti + 1
-              val s = lake.attrs(si)
-              if (s.table != self && !excluded(s.table)) {
-                pairs.add(e, ti, si, distance(e, t.sigs(e), s.sigs(e)))
-                if (slot(s.table) < 0) { slot(s.table) = cands.size; cands += s.table; saRelated += false }
-                if (t.subject && s.subject) saRelated(slot(s.table)) = true
-              }
-            }
-            i += 1
+        lake.lsh.candidates(t.buckets(e), seen, ti * Evidence.indexed.size + e + 1) { si =>
+          val s = lake.attrs(si)
+          if (s.table != self && !excluded(s.table)) {
+            pairs.add(e, ti, si, 1.0 - lake.lsh.similarity(e, t.sigs(e), s.sigs(e))) // a [0, 1] distance
+            if (slot(s.table) < 0) { slot(s.table) = cands.size; cands += s.table; saRelated += false }
+            if (t.subject && s.subject) saRelated(slot(s.table)) = true
           }
         }
       }

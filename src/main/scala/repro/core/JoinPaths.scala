@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
-import repro.lsh.MinHash
 
 /** §IV — extending relatedness through SA-join paths.
   *
@@ -32,21 +31,18 @@ object JoinPaths {
     val lake = idx.serving
     val v = Evidence.all.indexOf(Evidence.V)
     val adj = Array.fill(lake.tableIds.size)(mutable.BitSet.empty)
-    val seen = new Array[Int](lake.attrs.size) // attr id → subject attr id + 1 once compared
+    val seen = new Array[Int](lake.attrs.size) // attr id → subject attr id + 1 once met
     // Collisions where one side is a subject attribute; the other may be any
     // attribute ("at least one of a or a' is a subject attribute").
     lake.attrs.filter(_.subject).foreach { a =>
-      a.buckets(v).foreach { k =>
-        lake.probe(k).foreach { bi =>
-          val b = lake.attrs(bi)
-          if (b.table != a.table && seen(bi) != a.id + 1) {
-            seen(bi) = a.id + 1
-            val jac = MinHash.estimateJaccard(a.sigs(v), b.sigs(v))
-            val ov = jac * (a.tsetSize + b.tsetSize) / ((1.0 + jac) * math.min(a.tsetSize, b.tsetSize))
-            if (ov >= cfg.minJoinOverlap && jac > 0.0) {
-              adj(a.table) += b.table
-              adj(b.table) += a.table
-            }
+      lake.lsh.candidates(a.buckets(v), seen, a.id + 1) { bi =>
+        val b = lake.attrs(bi)
+        if (b.table != a.table) {
+          val jac = lake.lsh.similarity(v, a.sigs(v), b.sigs(v)) // Ĵ, a MinHash estimate
+          val ov = jac * (a.tsetSize + b.tsetSize) / ((1.0 + jac) * math.min(a.tsetSize, b.tsetSize))
+          if (ov >= cfg.minJoinOverlap && jac > 0.0) {
+            adj(a.table) += b.table
+            adj(b.table) += a.table
           }
         }
       }

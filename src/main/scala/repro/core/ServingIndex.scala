@@ -1,8 +1,7 @@
 package repro.core
 
 import scala.collection.immutable.ArraySeq
-import scala.collection.mutable
-import repro.lsh.Banding
+import repro.lsh.{Banding, BucketIndex}
 
 /** One attribute as the serving index holds it, or a query target resolved
   * against it ([[ServingIndex.targets]]). Evidence ordinals index
@@ -31,29 +30,22 @@ final case class ServedAttr(
 )
 
 /** Immutable, driver-resident probe structure of [[LakeIndexes]]: the
-  * bucket map (evidence, band, bucket) → attributes, signatures, numeric
-  * samples and subject attributes. It is assembled from Algorithm 1's
-  * per-attribute records ([[AttrFeatures]]), which are built on Spark and
-  * collected once, banding each signature under [[ServingIndex.levels]].
-  * Queries probe it in plain Scala and start no Spark job (DESIGN.md §2,
-  * "Build on Spark, serve from the driver"). The lake's embedding model is
-  * not part of it: a query target is embedded with [[LakeIndexes.embeddings]].
+  * attributes of Algorithm 1's records ([[AttrFeatures]], built on Spark and
+  * collected once) with their signatures, numeric samples and subject flags,
+  * and the [[BucketIndex]] of their signatures, one group per indexed
+  * evidence type. Queries probe it in plain Scala and start no Spark job
+  * (DESIGN.md §2, "Build on Spark, serve from the driver"); a query target
+  * is embedded with [[LakeIndexes.embeddings]].
   *
   * Attributes, tables and buckets carry dense `Int` ids, so the query path
-  * dedupes and accumulates into arrays instead of hashing strings. A bucket
-  * is found by its slot, a dense id of its (evidence, band), and its `Long`
-  * hash. Per attribute it holds ≈228 bucket ids (60 each for ℕ/𝕍/𝔽, 48 for
-  * 𝔼); its signatures (up to three 256-long MinHash ones and a 4-long 𝔼 one)
-  * and its sample of at most `maxNumericSample` doubles are the arrays of
-  * its [[AttrFeatures]], not copies.
+  * dedupes and accumulates into arrays instead of hashing strings. Per
+  * attribute it holds ≈228 bucket ids (60 each for ℕ/𝕍/𝔽, 48 for 𝔼); its
+  * signatures and sample are the arrays of its [[AttrFeatures]], not copies.
   */
 final class ServingIndex private (
     val attrs: IndexedSeq[ServedAttr],
     val tableIds: IndexedSeq[String],
-    /** Per slot: bucket hash → bucket id. */
-    bucketIds: Array[mutable.LongMap[Int]],
-    /** Bucket id → ids of the attributes in it, ascending. */
-    postings: Array[Array[Int]],
+    val lsh: BucketIndex, // item i is attribute i, group e evidence ordinal e
 ) {
   private val tableIndex: Map[String, Int] = tableIds.iterator.zipWithIndex.toMap
 
@@ -64,9 +56,6 @@ final class ServingIndex private (
 
   private val numericByTable: Array[Array[Int]] =
     byTable.map(_.iterator.filter(_.sample.isDefined).map(_.id).toArray)
-
-  /** Ids of the attributes sharing bucket `b`. */
-  def probe(b: Int): Array[Int] = postings(b)
 
   /** Dense id of table `tableId`, or -1 when the index does not hold it. */
   def tableOf(tableId: String): Int = tableIndex.getOrElse(tableId, -1)
@@ -85,55 +74,32 @@ final class ServingIndex private (
   }
 
   /** Extracted tables (lake members or not) as the target side of a query:
-    * each signature is banded and each band hash resolved to the bucket of
-    * this index that holds it; hashes no lake attribute has are dropped.
+    * each signature is resolved to the buckets of this index that hold its
+    * band hashes ([[BucketIndex.resolve]]).
     */
-  def targets(tables: Seq[TableFeatures]): IndexedSeq[ServedAttr] =
-    ServingIndex.assemble(tables)((slot, hash) => bucketIds(slot).getOrElse(hash, -1))
+  def targets(tables: Seq[TableFeatures]): IndexedSeq[ServedAttr] = ServingIndex.assemble(tables,
+    tables.flatMap(_.attrs).map(a => Array.tabulate(lsh.levels.size)(e => lsh.resolve(e, a.sigs(e)))))
 }
 
 object ServingIndex {
 
-  /** Banding levels per indexed evidence ordinal: the MinHash levels for
-    * ℕ/𝕍/𝔽, the simhash levels for 𝔼.
-    */
-  val levels: IndexedSeq[Seq[Banding.Level]] = Evidence.indexed
-    .map(e => if (e == Evidence.E) Banding.simhashLevels else Banding.minhashLevels).toIndexedSeq
+  /** Banding levels per indexed evidence ordinal: the MinHash ones for ℕ/𝕍/𝔽, the simhash ones for 𝔼. */
+  val levels: IndexedSeq[Seq[Banding.Level]] = BucketIndex.levels(Evidence.indexed, Evidence.E)
 
-  /** First slot of each indexed evidence ordinal: its bands take the slots
-    * from there on, in banding order.
-    */
-  private val slotBase: Array[Int] = levels.scanLeft(0)(_ + _.map(_.bands).sum).toArray
-
-  /** Serving form of the lake's extracted tables: every signature is banded
-    * here, under its evidence type's levels, and every new band hash gets
-    * the next bucket id.
+  /** Serving form of the lake's extracted tables: the [[BucketIndex]] of
+    * their attributes' signatures, in table and column order.
     */
   def of(tables: Seq[TableFeatures]): ServingIndex = {
-    val bucketIds = Array.fill(slotBase.last)(mutable.LongMap.empty[Int])
-    var nBuckets = 0
-    val attrs = assemble(tables)((slot, hash) => bucketIds(slot).getOrElseUpdate(hash, { nBuckets += 1; nBuckets - 1 }))
-    val postings = Array.fill(nBuckets)(new mutable.ArrayBuilder.ofInt)
-    attrs.foreach(a => a.buckets.foreach(_.foreach(b => postings(b).addOne(a.id)))) // addOne: `+=` would box the id
-    new ServingIndex(attrs, tables.map(_.tableId).toIndexedSeq, bucketIds, postings.map(_.result()))
+    val sigs = tables.flatMap(_.attrs.map(_.sigs)).toIndexedSeq
+    val lsh = BucketIndex(levels, sigs.size)((i, e) => sigs(i)(e))
+    new ServingIndex(assemble(tables, sigs.indices.map(lsh.bucketsOf)), tables.map(_.tableId).toIndexedSeq, lsh)
   }
 
-  /** The attributes of `tables` in order, with dense ids from 0. Each
-    * signature's band hashes go through `bucket(slot, hash)`, which gives
-    * their bucket id or -1 to drop the hash.
-    */
-  private def assemble(tables: Seq[TableFeatures])(bucket: (Int, Long) => Int): IndexedSeq[ServedAttr] = {
-    val attrs = mutable.ArrayBuffer.empty[ServedAttr]
-    tables.zipWithIndex.foreach { case (t, ti) =>
-      t.attrs.foreach { a =>
-        val buckets = Array.tabulate(levels.size) { e =>
-          val hs = Banding.hashes(a.sigs(e), levels(e))
-          Array.tabulate(hs.length)(i => bucket(slotBase(e) + i, hs(i))).filter(_ >= 0)
-        }
-        attrs += ServedAttr(attrs.size, t.tableId, ti, a.colIdx, a.tsetSize, t.subject.contains(a.colIdx),
-          a.sigs, buckets, a.sample)
-      }
-    }
-    ArraySeq.from(attrs)
+  /** The attributes of `tables` in order, with dense ids from 0, the i-th holding `buckets(i)`. */
+  private def assemble(tables: Seq[TableFeatures], buckets: Seq[Array[Array[Int]]]): IndexedSeq[ServedAttr] = {
+    val attrs = for ((t, ti) <- tables.zipWithIndex; a <- t.attrs) yield (t, ti, a)
+    ArraySeq.from(attrs.zip(buckets).zipWithIndex.map { case (((t, ti, a), bs), id) =>
+      ServedAttr(id, t.tableId, ti, a.colIdx, a.tsetSize, t.subject.contains(a.colIdx), a.sigs, bs, a.sample)
+    })
   }
 }

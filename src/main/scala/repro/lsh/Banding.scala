@@ -18,7 +18,8 @@ import scala.util.hashing.MurmurHash3
   * signature, so extra candidates cost recall nothing and precision is
   * restored by D³L's distance weighting. (DESIGN.md §4.3.)
   *
-  * Band ids are `level*1000 + band` so levels never share buckets.
+  * Band ids are `level*1000 + band` so levels never share buckets. The
+  * index frames store these keys; the probe structure is [[BucketIndex]].
   */
 object Banding {
 
@@ -47,14 +48,6 @@ object Banding {
     val bandIds = levels.zipWithIndex.flatMap { case (Level(_, b), li) => (0 until b).map(li * 1000 + _) }
     bandIds.zip(hashes(sig, levels))
   }
-
-  /** (band id, bucket hash) → the ascending positions in `sigs` of the
-    * signatures holding that bucket under `levels`: the probe structure of a
-    * collected set of signatures.
-    */
-  def bucketMap(sigs: IndexedSeq[Array[Long]], levels: Seq[Level]): Map[(Int, Long), Array[Int]] =
-    sigs.indices.flatMap(i => buckets(sigs(i), levels).map(_ -> i))
-      .groupMap(_._1)(_._2).map { case (k, is) => k -> is.toArray }
 
   /** The bucket hashes of [[buckets]] alone: position p is the bucket of
     * the p-th band in banding order.

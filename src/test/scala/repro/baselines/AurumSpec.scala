@@ -159,4 +159,9 @@ class AurumSpec extends MalformedLakes {
     val jobs = jobsStartedBy(Aurum.queryAll(idx, lake.tables.map(_.id)))
     assert(jobs == 0, s"$jobs Spark jobs started by Aurum.queryAll")
   }
+
+  test("queryAll rejects a table the index does not hold") {
+    val err = intercept[IllegalArgumentException](Aurum.queryAll(idx, Seq(targets.head, "no-such-table")))
+    assert(err.getMessage.contains("no-such-table"), err.getMessage)
+  }
 }

@@ -113,6 +113,16 @@ class TusSpec extends MalformedLakes {
     assert(!member.ranked.exists(_.sTable == t.id))
   }
 
+  test("queryAll rejects a table the index does not hold, and answers an all-numeric one with nothing") {
+    val err = intercept[IllegalArgumentException](Tus.queryAll(idx, Seq(targets.head, "no-such-table")))
+    assert(err.getMessage.contains("no-such-table"), err.getMessage)
+    val numeric = repro.lake.LakeTable("nums", "generated",
+      IndexedSeq(repro.lake.LakeColumn("amount", (1 to 5).map(_.toString), "generated", isSubject = false)))
+    val small = Tus.index(spark, LakeDf.toLong(spark, lake.tables.take(2) :+ numeric), kb)
+    assert(small.profiles.exists(_.tableId == "nums") && !small.attrs.exists(_.tableId == "nums"))
+    assert(Tus.queryAll(small, Seq("nums")) == Tus.TusResult(IndexedSeq.empty, IndexedSeq.empty))
+  }
+
   test("queryAll starts no Spark job") {
     idx // index built before measuring
     val jobs = jobsStartedBy(Tus.queryAll(idx, lake.tables.map(_.id)))

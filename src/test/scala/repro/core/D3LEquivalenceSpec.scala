@@ -5,7 +5,7 @@ import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.{PropSupport, SparkSpec}
 import repro.lake.{Generators, Lake, LakeColumn, LakeDf, LakeTable}
-import repro.lsh.{Banding, RandomProjection, SimhashReference}
+import repro.lsh.{Banding, LshReference, RandomProjection, SimhashReference}
 
 /** A D³L answer does not depend on its route. The served query pipeline
   * (`D3L.queryAll`, plain Scala on the driver) returns what the Spark-SQL
@@ -122,15 +122,13 @@ class D3LEquivalenceSpec extends SparkSpec with PropSupport {
     for (a <- f.attrs; (ev, e) <- Evidence.indexed.zipWithIndex) yield (a, ev, a.sigs(e))
   }
 
-  /** The lake's buckets from its features alone: (evidence, band id, bucket
-    * hash) → ids of the lake attributes in it, ascending.
+  /** The lake's buckets from its features alone: per evidence, (band id,
+    * bucket hash) → ids of the lake attributes in it, ascending.
     */
-  private def lakeBuckets(idx: LakeIndexes): Map[(String, Int, Long), Seq[Int]] = {
-    val id = idx.serving.attrs.map(a => (a.tableId, a.colIdx) -> a.id).toMap
-    idx.features
-      .flatMap(f => signaturesOf(f).flatMap { case (a, ev, sig) =>
-        Banding.buckets(sig, levelsOf(ev)).map { case (b, h) => (ev, b, h) -> id((f.tableId, a.colIdx)) } })
-      .groupBy(_._1).map { case (k, vs) => k -> vs.map(_._2).sorted }
+  private def lakeBuckets(idx: LakeIndexes): Map[String, Map[(Int, Long), Seq[Int]]] = {
+    val sig = idx.features.flatMap(f => signaturesOf(f).map { case (a, ev, s) => (f.tableId, a.colIdx, ev) -> s }).toMap
+    Evidence.indexed.map(ev =>
+      ev -> LshReference.bucketMap(idx.serving.attrs.map(a => sig((a.tableId, a.colIdx, ev))), levelsOf(ev))).toMap
   }
 
   /** Checks `targets`, resolved from `features`, against the lake: every
@@ -145,8 +143,8 @@ class D3LEquivalenceSpec extends SparkSpec with PropSupport {
       Evidence.indexed.zipWithIndex.map { case (ev, e) =>
         val sig = sigs((t.colIdx, ev))
         val keys = Banding.buckets(sig, levelsOf(ev))
-        val want = keys.flatMap { case (b, h) => held.get((ev, b, h)) }
-        assert(t.buckets(e).map(b => idx.serving.probe(b).toSeq).toSeq == want, s"${t.tableId}#${t.colIdx} $ev buckets")
+        val want = keys.flatMap(held(ev).get)
+        assert(t.buckets(e).map(b => idx.serving.lsh.probe(b).toSeq).toSeq == want, s"${t.tableId}#${t.colIdx} $ev buckets")
         assert(sig.sameElements(t.sigs(e)), s"${t.tableId}#${t.colIdx} $ev signature")
         keys.size - want.size
       }.sum
