@@ -1,12 +1,10 @@
 package repro.baselines
 
-import java.util.Arrays.asList
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.collection.mutable
 import repro.core.{D3LConfig, FeatureExtraction}
 import repro.core.FeatureExtraction.{ColumnValues, Extent, rejectingMalformed}
-import repro.lsh.{Banding, BucketIndex, MinHash, RandomProjection}
+import repro.lsh.{BucketIndex, MinHash, RandomProjection}
 import repro.text.{Embeddings, Tokenizer}
 
 /** Aurum baseline (Fernandez et al., ICDE'18), per §V-A of the D³L paper.
@@ -28,10 +26,12 @@ import repro.text.{Embeddings, Tokenizer}
   * uniqueness-only joinability, no subject attributes, no target-evidence
   * guard, which is what costs it attribute precision in Experiments 9/11.
   * Its traversal is `JoinPaths.reachable` on `pkfkTableEdges`, unguarded.
+  * The index holds what a query reads; Exp. 7 builds Table II's frames of it.
   */
 object Aurum {
 
   val An = "AN"; val Ac = "AC"; val At = "AT"
+  val measures: Seq[String] = Seq(An, Ac, At)
 
   /** EKG edge: undirected edge between column `aCol` of `aTable` and column
     * `bCol` of `bTable` (`aAttr < bAttr`, attribute ids `table#col`), with
@@ -51,37 +51,13 @@ object Aurum {
 
   /** Aurum's index on the driver: the [[Profile]]s in attribute-id order,
     * the EKG in (aAttr, bAttr) order and the PK/FK table graph of Aurum+J;
-    * nothing stays persisted in Spark. The frames are lazy local views of
-    * the profiles, for Table II and tests, with the schemas the Spark-SQL
-    * profiling had: `catalog` (attr, table_id, col_idx, col_name, n_values,
-    * n_distinct, n_numeric, is_numeric, uniqueness), `signatures` (attr,
-    * measure, sig, table_id, col_idx) and `buckets` (measure, band, bucket,
-    * attr, table_id), the LSH indexes.
+    * nothing stays persisted in Spark.
     */
   final class AurumIndexes private[Aurum] (
-      spark: SparkSession,
       val profiles: IndexedSeq[Profile],
       val edges: IndexedSeq[Edge],
       val pkfkTableEdges: Map[String, Set[String]],
   ) {
-    import spark.implicits._
-
-    lazy val catalog: DataFrame = spark.createDataFrame(asList(profiles.map(p => Row(p.attr, p.tableId, p.colIdx,
-      p.colName, p.nValues, p.nDistinct, p.nNumeric, p.isNumeric, p.uniqueness)): _*), StructType.fromDDL(
-      "attr STRING NOT NULL, table_id STRING, col_idx INT NOT NULL, col_name STRING, n_values BIGINT, " +
-      "n_distinct BIGINT NOT NULL, n_numeric BIGINT, is_numeric BOOLEAN, uniqueness DOUBLE"))
-    lazy val signatures: DataFrame = signed
-      .map { case (p, m) => (p.attr, measures(m), p.sigs(m), p.tableId, p.colIdx) }
-      .toDF("attr", "measure", "sig", "table_id", "col_idx")
-    lazy val buckets: DataFrame = signed
-      .flatMap { case (p, m) =>
-        Banding.buckets(p.sigs(m), levels(m)).map { case (band, bucket) => (measures(m), band, bucket, p.attr, p.tableId) }
-      }
-      .toDF("measure", "band", "bucket", "attr", "table_id")
-
-    /** Every signature as (profile, measure ordinal). */
-    private def signed: Seq[(Profile, Int)] = for (p <- profiles; m <- p.sigs.indices) yield (p, m)
-
     /** Table id → the EKG edges incident to it. */
     private[Aurum] lazy val incident: Map[String, IndexedSeq[Edge]] =
       edges.flatMap(e => Seq(e.aTable -> e, e.bTable -> e)).groupMap(_._1)(_._2)
@@ -121,7 +97,7 @@ object Aurum {
       .collect()).sortBy(_.attr).toIndexedSeq
     shipped.destroy()
     val (edges, pkfk) = ekg(profiles)
-    new AurumIndexes(spark, profiles, edges, pkfk)
+    new AurumIndexes(profiles, edges, pkfk)
   }
 
   /** Each token of a textual column's values with its number of occurrences; none for a numeric column. */
@@ -160,8 +136,6 @@ object Aurum {
 
   /** D³L's numeric-attribute rule, which Aurum's catalog applies too. */
   private val cfg = D3LConfig()
-  private val measures = IndexedSeq(An, Ac, At)
-  private val levels = BucketIndex.levels(measures, At)
 
   /** Spark SQL's `greatest` and `least`, which order NaN above every number. */
   private def greatest(x: Double, y: Double): Double = if (x.isNaN || y.isNaN) Double.NaN else math.max(x, y)
@@ -183,7 +157,7 @@ object Aurum {
     }
 
     def sig(a: Int, m: Int) = if (m < profiles(a).sigs.length) profiles(a).sigs(m) else Array.emptyLongArray
-    val lsh = BucketIndex(levels, n)(sig)
+    val lsh = BucketIndex(BucketIndex.levels(measures, At), n)(sig)
     val seen = new Array[Int](n) // column → mark of the last (measure, column) walk meeting it
     for (m <- measures.indices; a <- 0 until n)
       lsh.candidates(lsh.bucketsOf(a)(m), seen, m * n + a + 1) { b =>

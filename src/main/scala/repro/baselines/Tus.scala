@@ -1,12 +1,10 @@
 package repro.baselines
 
-import java.util.Arrays.asList
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{D3LConfig, FeatureExtraction}
 import repro.core.FeatureExtraction.{ColumnValues, Extent, rejectingMalformed}
 import repro.lake.LakeTable
-import repro.lsh.{Banding, BucketIndex, MinHash, RandomProjection}
+import repro.lsh.{BucketIndex, MinHash, RandomProjection}
 import repro.stats.Ccdf
 import repro.text.{Embeddings, Tokenizer}
 
@@ -29,7 +27,8 @@ import repro.text.{Embeddings, Tokenizer}
   * The lake is profiled on Spark in the build shape D³L and Aurum share, and
   * served from the driver. A query starts no Spark job: `queryTable` profiles
   * its target with the same kernel on the driver, its tokens looked up in
-  * [[SyntheticKB]] one by one, which is TUS's reproduced query-time cost.
+  * [[SyntheticKB]] one by one, which is TUS's reproduced query-time cost. The
+  * index holds what a query reads; Exp. 7 builds Table II's frames of it.
   */
 object Tus {
 
@@ -41,41 +40,19 @@ object Tus {
     val attr: String = FeatureExtraction.attrId(tableId, colIdx)
   }
 
-  /** TUS's index on the driver: every column's [[Profile]], in (table id, column) order, and the token → vector
-    * model of the NL signatures; nothing stays persisted in Spark. The frames are lazy local views of the profiles,
-    * for Table II and tests, with the schemas the Spark-SQL build had: `catalog` (attr, table_id, col_idx, col_name,
-    * n_values, n_numeric, is_numeric), `signatures` (attr, measure, sig, table_id, col_idx) and `buckets` (measure,
-    * band, bucket, attr, table_id), the LSH indexes.
+  /** TUS's index on the driver: every column's [[Profile]], in (table id, column) order, the token → vector model
+    * of the NL signatures and the KB a query target's tokens are looked up in; nothing stays persisted in Spark.
     */
   final class TusIndexes private[Tus] (
-      spark: SparkSession,
       val profiles: IndexedSeq[Profile],
       val embeddings: Map[String, Array[Float]],
       val kbPath: String,
   ) {
-    import spark.implicits._
-
     /** The served attributes: the profiles with signatures. */
     val attrs: IndexedSeq[Profile] = profiles.filter(_.sigs.nonEmpty)
     /** The LSH indexes: `attrs`' buckets, one group per measure ordinal. */
     private[Tus] val lsh: BucketIndex =
       BucketIndex(BucketIndex.levels(measures, Nl), attrs.size)((i, m) => attrs(i).sigs(m))
-
-    lazy val catalog: DataFrame = spark.createDataFrame(asList(profiles.map(p => Row(p.attr, p.tableId, p.colIdx,
-      p.colName, p.nValues, p.nNumeric, p.isNumeric)): _*), StructType.fromDDL(
-      "attr STRING NOT NULL, table_id STRING, col_idx INT NOT NULL, col_name STRING, n_values BIGINT, " +
-      "n_numeric BIGINT, is_numeric BOOLEAN"))
-    lazy val signatures: DataFrame = signed
-      .map { case (p, m) => (p.attr, measures(m), p.sigs(m), p.tableId, p.colIdx) }
-      .toDF("attr", "measure", "sig", "table_id", "col_idx")
-    lazy val buckets: DataFrame = signed
-      .flatMap { case (p, m) =>
-        Banding.buckets(p.sigs(m), lsh.levels(m)).map { case (band, bucket) => (measures(m), band, bucket, p.attr, p.tableId) }
-      }
-      .toDF("measure", "band", "bucket", "attr", "table_id")
-
-    /** Every signature as (profile, measure ordinal). */
-    private def signed: Seq[(Profile, Int)] = for (p <- attrs; m <- p.sigs.indices if p.sigs(m).nonEmpty) yield (p, m)
   }
 
   /** Lake table `sTable` as the `rank`-th most unionable (from 1) with target `tTable`. */
@@ -111,7 +88,7 @@ object Tus {
       profileTable(id, cols, shipped.value._1.get, shipped.value._2.get)
     }.collect()).sortBy(p => (p.tableId, p.colIdx)).toSeq
     shipped.destroy()
-    new TusIndexes(spark, withSem(profiles), embeddings, kbPath)
+    new TusIndexes(withSem(profiles), embeddings, kbPath)
   }
 
   /** The distinct tokens of a textual column's values, in first-seen order; none for a numeric column. */
@@ -163,8 +140,10 @@ object Tus {
     * and its distinct tokens looked up in the KB over one connection (the paper's TUS query-time leak); the
     * common-class discount is taken over its own attributes. `excludeId` drops a lake table (e.g. the lake copy of
     * the target) at the probe, as does the lake table whose id equals `target.id`: a table is never its own answer.
+    * A null or empty `target.id` is rejected.
     */
   def queryTable(idx: TusIndexes, target: LakeTable, excludeId: Option[String] = None): TusResult = {
+    FeatureExtraction.requireTargetId(target.id)
     val cols = target.columns.zipWithIndex.map { case (c, i) => ColumnValues(i, c.name, c.values) }
     val classes = SyntheticKB.mapTokens(cols.flatMap(c => tokens(new Extent(c.values, cfg))), idx.kbPath)
     val ts = withSem(profileTable(target.id, cols, idx.embeddings.get, classes.get)).filter(_.sigs.nonEmpty)

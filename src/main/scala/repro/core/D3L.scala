@@ -87,11 +87,12 @@ object D3L {
     * are extracted on the driver (the paper's query-time representation
     * cost) with the lake's embeddings. `excludeId` drops a lake table (e.g.
     * the lake copy of the target) before weighting and ranking. The lake
-    * table whose id equals `target.id`, if any, is always dropped too, with
-    * or without `excludeId`: a table is never its own answer.
+    * table whose id equals `target.id` is always dropped too: a table is
+    * never its own answer. A null or empty `target.id` is rejected.
     */
   def queryTable(spark: SparkSession, idx: LakeIndexes, target: LakeTable,
                  cfg: D3LConfig = D3LConfig(), excludeId: Option[String] = None): QueryResult = {
+    FeatureExtraction.requireTargetId(target.id)
     val features = FeatureExtraction.extractTable(target, cfg, idx.embeddings.get)
     search(spark, idx.serving.targets(Seq(features)), idx.serving, cfg, excludeId.toSet)
   }

@@ -143,6 +143,10 @@ object FeatureExtraction {
     new LakeIndexes(spark, features, embeddings)
   }
 
+  /** Rejects a query target whose table id is null or empty, as [[regroup]] rejects such a lake table. */
+  private[repro] def requireTargetId(id: String): Unit =
+    require(id != null && id.nonEmpty, s"malformed query target: ${if (id == null) "null" else "empty"} table id")
+
   /** A long-format lake (`table_id, col_idx, col_name, row_idx, value`)
     * regrouped by `table_id` into `defaultParallelism` partitions: per table,
     * its columns with their values in `row_idx` order (any `Long`, negative

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.lsh.Banding
 
 /** Shared identifiers and configuration for the D³L pipeline. */
 object Evidence {
@@ -84,8 +83,9 @@ final case class TableFeatures(tableId: String, attrs: Seq[AttrFeatures], subjec
   * The frames below are lazy local views of the per-attribute records of
   * `features` (`tokenEmbeddings` of [[embeddings]]), for inspection, space
   * accounting (Exp. 7) and tests; neither the build nor the query path
-  * reads them. `signatures` and `buckets` list each attribute's evidence in
-  * the order Algorithm 1 derives it: ℕ, 𝔽, 𝕍, 𝔼.
+  * reads them. `signatures` and `buckets` come from [[IndexFrames]], which
+  * builds TUS's and Aurum's too, and list each attribute's evidence in the
+  * order Algorithm 1 derives it: ℕ, 𝔽, 𝕍, 𝔼.
   *
   *  - catalog:          attr, table_id, col_idx, col_name, n_values,
   *                      n_distinct, null_frac, avg_len, numeric_frac,
@@ -119,22 +119,17 @@ final class LakeIndexes private[core] (
   private def attrs: Seq[(String, String, AttrFeatures)] =
     features.flatMap(f => f.attrs.map(a => (f.tableId, FeatureExtraction.attrId(f.tableId, a.colIdx), a)))
 
-  /** Every signature as (table id, attribute id, record, evidence ordinal). */
-  private def signed: Seq[(String, String, AttrFeatures, Int)] =
-    for ((t, id, a) <- attrs; e <- kernelOrder if a.sigs(e).nonEmpty) yield (t, id, a, e)
+  /** The frames of every signature, in table-id and column order and per attribute in kernel order. */
+  private lazy val frames = new IndexFrames(spark, "evidence", Evidence.indexed, Evidence.E,
+    for ((t, id, a) <- attrs; e <- kernelOrder if a.sigs(e).nonEmpty) yield Signed(id, t, a.colIdx, e, a.sigs(e)))
 
   lazy val catalog: DataFrame = attrs
     .map { case (t, id, a) => (id, t, a.colIdx, a.colName, a.nValues, a.nDistinct, a.nullFrac, a.avgLen,
       a.numericFrac, a.isNumeric, a.tsetSize) }
     .toDF("attr", "table_id", "col_idx", "col_name", "n_values", "n_distinct", "null_frac",
       "avg_len", "numeric_frac", "is_numeric", "tset_size")
-  lazy val signatures: DataFrame = signed
-    .map { case (t, id, a, e) => (id, Evidence.all(e), a.sigs(e), t, a.colIdx) }
-    .toDF("attr", "evidence", "sig", "table_id", "col_idx")
-  lazy val buckets: DataFrame = signed
-    .flatMap { case (t, id, a, e) => Banding.buckets(a.sigs(e), ServingIndex.levels(e))
-      .map { case (band, bucket) => (Evidence.all(e), band, bucket, id, t) } }
-    .toDF("evidence", "band", "bucket", "attr", "table_id")
+  lazy val signatures: DataFrame = frames.signatures
+  lazy val buckets: DataFrame = frames.buckets
   lazy val numericProfiles: DataFrame = attrs
     .flatMap { case (t, id, a) => a.sample.map(s => (id, s, t, a.colIdx)) }
     .toDF("attr", "sample", "table_id", "col_idx")

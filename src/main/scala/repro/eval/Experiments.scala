@@ -116,22 +116,44 @@ object Experiments {
       "catalog" -> f.d3l.catalog, "signatures" -> f.d3l.signatures,
       "buckets" -> f.d3l.buckets, "numeric" -> f.d3l.numericProfiles,
       "subjects" -> f.d3l.subjects, "embeddings" -> f.d3l.tokenEmbeddings))
-    val tusBytes = writeAll("tus", Map(
-      "catalog" -> f.tus.catalog, "signatures" -> f.tus.signatures,
-      "buckets" -> f.tus.buckets)) + Harness.fileBytes(f.kbPath)
-    // The edges with the schema of the Spark frame they were collected from:
-    // a Parquet footer records each column's nullability.
-    val edges = spark.createDataFrame(
-      f.aurum.edges.map(e => Row(e.aAttr, e.aTable, e.aCol, e.bAttr, e.bTable, e.bCol, e.sim)).asJava,
-      StructType.fromDDL("a_attr STRING, a_table STRING, a_col INT NOT NULL, b_attr STRING, b_table STRING, " +
-        "b_col INT NOT NULL, sim DOUBLE"))
-    val aurumBytes = writeAll("aurum", Map(
-      "catalog" -> f.aurum.catalog, "profiles" -> f.aurum.signatures,
-      "buckets" -> f.aurum.buckets, "edges" -> edges))
+    val tusBytes = writeAll("tus", tusFrames(spark, f.tus)) + Harness.fileBytes(f.kbPath)
+    val aurumBytes = writeAll("aurum", aurumFrames(spark, f.aurum))
     Seq(
       SpaceRow("d3l", repo, d3lBytes, lakeBytes),
       SpaceRow("tus", repo, tusBytes, lakeBytes),
       SpaceRow("aurum", repo, aurumBytes, lakeBytes))
+  }
+
+  /** TUS's Table II frames by file name: a `catalog` row per column, and the [[IndexFrames]] of the non-empty
+    * signatures, the ones TUS indexes.
+    */
+  def tusFrames(spark: SparkSession, idx: Tus.TusIndexes): Map[String, DataFrame] = {
+    val frames = new IndexFrames(spark, "measure", Tus.measures, Tus.Nl,
+      for (p <- idx.attrs; m <- p.sigs.indices if p.sigs(m).nonEmpty)
+        yield Signed(p.attr, p.tableId, p.colIdx, m, p.sigs(m)))
+    Map(
+      "catalog" -> spark.createDataFrame(idx.profiles.map(p => Row(p.attr, p.tableId, p.colIdx, p.colName,
+        p.nValues, p.nNumeric, p.isNumeric)).asJava, StructType.fromDDL("attr STRING NOT NULL, table_id STRING, " +
+        "col_idx INT NOT NULL, col_name STRING, n_values BIGINT, n_numeric BIGINT, is_numeric BOOLEAN")),
+      "signatures" -> frames.signatures, "buckets" -> frames.buckets)
+  }
+
+  /** Aurum's Table II frames by file name: a `catalog` row per column, the [[IndexFrames]] (`profiles`, `buckets`)
+    * of every signature, empty AT ones included, and the EKG's `edges`. The catalogs and edges keep the schemas of
+    * the Spark frames they were once collected from: a Parquet footer records each column's nullability.
+    */
+  def aurumFrames(spark: SparkSession, idx: Aurum.AurumIndexes): Map[String, DataFrame] = {
+    val frames = new IndexFrames(spark, "measure", Aurum.measures, Aurum.At,
+      for (p <- idx.profiles; m <- p.sigs.indices) yield Signed(p.attr, p.tableId, p.colIdx, m, p.sigs(m)))
+    Map(
+      "catalog" -> spark.createDataFrame(idx.profiles.map(p => Row(p.attr, p.tableId, p.colIdx, p.colName,
+        p.nValues, p.nDistinct, p.nNumeric, p.isNumeric, p.uniqueness)).asJava, StructType.fromDDL(
+        "attr STRING NOT NULL, table_id STRING, col_idx INT NOT NULL, col_name STRING, n_values BIGINT, " +
+        "n_distinct BIGINT NOT NULL, n_numeric BIGINT, is_numeric BOOLEAN, uniqueness DOUBLE")),
+      "profiles" -> frames.signatures, "buckets" -> frames.buckets,
+      "edges" -> spark.createDataFrame(idx.edges.map(e => Row(e.aAttr, e.aTable, e.aCol, e.bAttr, e.bTable, e.bCol,
+        e.sim)).asJava, StructType.fromDDL("a_attr STRING, a_table STRING, a_col INT NOT NULL, b_attr STRING, " +
+        "b_table STRING, b_col INT NOT NULL, sim DOUBLE")))
   }
 
   // ---- Experiments 8–11: coverage & attribute precision (Figs. 7/8) --------

@@ -10,6 +10,9 @@ import scala.util.hashing.MurmurHash3
   * two signatures equals the Jaccard similarity of the underlying sets, so the
   * fraction of agreeing components is an unbiased Jaccard estimator — this is
   * what the D³L indexes return as the distance measurement.
+  *
+  * A signature is built token by token, each token's hash lowering the 256
+  * running minima ([[include]]).
   */
 object MinHash {
 
@@ -38,38 +41,29 @@ object MinHash {
     * never collides with a real one (callers exclude empty attrs anyway).
     */
   def signature(tokens: Iterable[String]): Array[Long] = {
-    val xs = tokens.iterator.map(tokenHash).toArray
-    val sig = new Array[Long](NumHashes)
-    var i = 0
-    while (i < NumHashes) {
-      val a = as(i)
-      val b = bs(i)
-      var min = EmptySentinel
-      var j = 0
-      while (j < xs.length) {
-        // (a*x + b) mod p; a*x overflows 64 bits, hence the 128-bit mulMod.
-        val v = mulMod(a, xs(j)) + b
-        val hv = if (v >= Prime) v - Prime else v
-        if (hv < min) min = hv
-        j += 1
-      }
-      sig(i) = min
-      i += 1
-    }
+    val sig = Array.fill(NumHashes)(EmptySentinel)
+    tokens.foreach(t => include(sig, tokenHash(t)))
     sig
   }
 
-  /** (a*b) mod p for p = 2⁶¹−1 using 128-bit multiply via Math.multiplyHigh. */
-  private def mulMod(a: Long, b: Long): Long = {
-    val hi = Math.multiplyHigh(a, b)
-    val lo = a * b
-    // Reduce mod 2^61-1: value = hi·2^64 + lo_unsigned and 2^61 ≡ 1 (mod p),
-    // so a·b ≡ (hi·8) + (lo >>> 61) + (lo & p) (mod p). One fold brings the
-    // sum under 2^61+2; finish with conditional subtraction.
-    var res = (lo & Prime) + (lo >>> 61) + (hi << 3)
-    res = (res & Prime) + (res >>> 61)
-    while (res >= Prime) res -= Prime
-    res
+  /** Lowers each component i of `sig` to h_i(x) = (a_i·x + b_i) mod p where smaller, for a token hash x < p. */
+  private[lsh] def include(sig: Array[Long], x: Long): Unit = {
+    var i = 0
+    while (i < NumHashes) {
+      // a·x overflows 64 bits: with hi·2^64 + lo = a·x and 2^61 ≡ 1 (mod p),
+      // a·x ≡ 8·hi + (lo >>> 61) + (lo & p). Fold twice, add b, fold once
+      // more: the value is ≤ p+2 after two folds and ≤ p+1 after the third,
+      // so one subtraction of p gives the canonical residue.
+      val a = as(i)
+      val lo = a * x
+      var v = (lo & Prime) + (lo >>> 61) + (Math.multiplyHigh(a, x) << 3)
+      v = (v & Prime) + (v >>> 61)
+      v += bs(i)
+      v = (v & Prime) + (v >>> 61)
+      if (v >= Prime) v -= Prime
+      if (v < sig(i)) sig(i) = v
+      i += 1
+    }
   }
 
   /** Estimated Jaccard similarity = fraction of agreeing components. */

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.functions._
 import repro.core.{D3LConfig, JoinPaths}
+import repro.eval.Experiments
 import repro.lake.{Generators, LakeDf, MalformedLakes}
 import repro.lsh.{Banding, RandomProjection, SimhashReference}
 
@@ -11,6 +12,7 @@ class AurumSpec extends MalformedLakes {
   private lazy val idx = Aurum.index(spark, LakeDf.toLong(spark, lake.tables))
   private lazy val targets = lake.tables.take(3).map(_.id)
   private lazy val result = Aurum.queryAll(idx, targets)
+  private lazy val frames = Experiments.aurumFrames(spark, idx)
 
   test("EKG has edges") {
     assert(idx.edges.nonEmpty)
@@ -32,14 +34,14 @@ class AurumSpec extends MalformedLakes {
   }
 
   test("profiles exist for all three measures") {
-    val ms = idx.signatures.select("measure").distinct().collect().map(_.getString(0)).toSet
+    val ms = frames("profiles").select("measure").distinct().collect().map(_.getString(0)).toSet
     assert(ms == Set(Aurum.An, Aurum.Ac, Aurum.At))
   }
 
   test("TF-IDF (AT) signatures are packed simhash bits, banded as the 0/1 bits are") {
     def ofMeasure(df: org.apache.spark.sql.DataFrame) = df.filter(col("measure") === Aurum.At).collect().toSeq
-    val sigs = ofMeasure(idx.signatures.select("attr", "sig", "measure")).map(r => r.getString(0) -> r.getSeq[Long](1).toArray)
-    val frame = ofMeasure(idx.buckets.select("attr", "band", "bucket", "measure"))
+    val sigs = ofMeasure(frames("profiles").select("attr", "sig", "measure")).map(r => r.getString(0) -> r.getSeq[Long](1).toArray)
+    val frame = ofMeasure(frames("buckets").select("attr", "band", "bucket", "measure"))
       .groupMap(_.getString(0))(r => (r.getInt(1), r.getLong(2)))
     assert(sigs.exists(_._2.nonEmpty))
     sigs.foreach { case (attr, sig) =>
@@ -87,7 +89,7 @@ class AurumSpec extends MalformedLakes {
     // Patients-style columns within a cluster share a distribution → ranges
     // overlap → AR edges (or AN edges via names) exist between them; just
     // assert the pipeline produced *some* edge between numeric attributes.
-    val numericAttrs = idx.catalog.filter(col("is_numeric")).select("attr")
+    val numericAttrs = frames("catalog").filter(col("is_numeric")).select("attr")
       .collect().map(_.getString(0)).toSet
     val numEdges = idx.edges.count(e => numericAttrs.contains(e.aAttr) && numericAttrs.contains(e.bAttr))
     assert(numEdges > 0, "expected at least one numeric-numeric edge")

@@ -3,6 +3,7 @@ package repro.baselines
 import java.nio.file.Files
 import org.apache.spark.sql.DataFrame
 import repro.{PropSupport, SparkSpec}
+import repro.eval.Experiments
 import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
 
 /** The served TUS and Aurum queries (plain Scala on the driver) answer as
@@ -71,8 +72,9 @@ class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
     val ref = BaselineSqlReference.tusProfiles(spark, long, kb)
     assert(idx.embeddings.keySet == ref.embeddings.keySet &&
       idx.embeddings.forall { case (t, v) => v.sameElements(ref.embeddings(t)) }, s"$what: embeddings differ")
-    assertSameProfiles(what, Seq(idx.catalog, idx.signatures, idx.buckets), Seq(ref.catalog, ref.signatures, ref.buckets),
-      idx.attrs.map(_.sigs.count(_.nonEmpty)).sum)
+    val frames = Experiments.tusFrames(spark, idx)
+    assertSameProfiles(what, Seq("catalog", "signatures", "buckets").map(frames),
+      Seq(ref.catalog, ref.signatures, ref.buckets), idx.attrs.map(_.sigs.count(_.nonEmpty)).sum)
     val ids = tables.map(_.id)
     val served = Tus.queryAll(idx, ids)
     assert(served.ranked.map(_.tTable).distinct == ids.filter(served.ranked.map(_.tTable).toSet), s"$what: target order")
@@ -115,8 +117,9 @@ class BaselineEquivalenceSpec extends SparkSpec with PropSupport {
     val long = LakeDf.toLong(spark, tables)
     val idx = Aurum.index(spark, long)
     val ref = BaselineSqlReference.aurumProfiles(spark, long)
-    assertSameProfiles(what, Seq(idx.catalog, idx.signatures, idx.buckets), Seq(ref.catalog, ref.signatures, ref.buckets),
-      idx.profiles.map(_.sigs.length).sum)
+    val frames = Experiments.aurumFrames(spark, idx)
+    assertSameProfiles(what, Seq("catalog", "profiles", "buckets").map(frames),
+      Seq(ref.catalog, ref.signatures, ref.buckets), idx.profiles.map(_.sigs.length).sum)
     val ranges = ref.ranges.collect().map(r => r.getString(0) -> (r.getDouble(1), r.getDouble(2))).toMap
     assert(idx.profiles.flatMap(p => p.range.map(p.attr -> _)).toMap == ranges, s"$what: numeric ranges differ")
 

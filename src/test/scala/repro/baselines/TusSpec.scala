@@ -3,6 +3,7 @@ package repro.baselines
 import java.nio.file.Files
 import org.apache.spark.sql.functions._
 import repro.core.FeatureExtraction
+import repro.eval.Experiments
 import repro.lake.{Generators, LakeDf, MalformedLakes}
 import repro.lsh.{Banding, RandomProjection, SimhashReference}
 
@@ -14,26 +15,27 @@ class TusSpec extends MalformedLakes {
   private lazy val idx = Tus.index(spark, LakeDf.toLong(spark, lake.tables), kb)
   private lazy val targets = lake.tables.take(3).map(_.id)
   private lazy val result = Tus.queryAll(idx, targets)
+  private lazy val frames = Experiments.tusFrames(spark, idx)
 
   test("TUS indexes only textual attributes in SET/SEM/NL") {
-    val numericAttrs = idx.catalog.filter(col("is_numeric")).select("attr")
+    val numericAttrs = frames("catalog").filter(col("is_numeric")).select("attr")
       .collect().map(_.getString(0)).toSet
-    val indexed = idx.signatures.select("attr").distinct()
+    val indexed = frames("signatures").select("attr").distinct()
       .collect().map(_.getString(0)).toSet
     assert((numericAttrs intersect indexed).isEmpty, "numeric attrs must be ignored")
   }
 
   test("all three measures produce signatures") {
-    val ms = idx.signatures.select("measure").distinct().collect().map(_.getString(0)).toSet
+    val ms = frames("signatures").select("measure").distinct().collect().map(_.getString(0)).toSet
     assert(ms == Set(Tus.Set_, Tus.Sem, Tus.Nl))
   }
 
   test("SEM signatures exist (KB resolved classes for lake tokens)") {
-    assert(idx.signatures.filter(col("measure") === Tus.Sem).count() > 0)
+    assert(frames("signatures").filter(col("measure") === Tus.Sem).count() > 0)
   }
 
   test("the collected attributes hold exactly the signatures frame, in (table, column) order") {
-    val frame = idx.signatures.select("table_id", "col_idx", "measure", "sig").collect()
+    val frame = frames("signatures").select("table_id", "col_idx", "measure", "sig").collect()
       .map(r => (r.getString(0), r.getInt(1), r.getString(2), r.getSeq[Long](3))).toSet
     val collected = for {
       a <- idx.attrs
@@ -45,8 +47,8 @@ class TusSpec extends MalformedLakes {
 
   test("NL signatures are packed simhash bits, banded as the 0/1 bits are") {
     def ofMeasure(df: org.apache.spark.sql.DataFrame) = df.filter(col("measure") === Tus.Nl).collect().toSeq
-    val sigs = ofMeasure(idx.signatures.select("attr", "sig", "measure")).map(r => r.getString(0) -> r.getSeq[Long](1).toArray)
-    val frame = ofMeasure(idx.buckets.select("attr", "band", "bucket", "measure"))
+    val sigs = ofMeasure(frames("signatures").select("attr", "sig", "measure")).map(r => r.getString(0) -> r.getSeq[Long](1).toArray)
+    val frame = ofMeasure(frames("buckets").select("attr", "band", "bucket", "measure"))
       .groupMap(_.getString(0))(r => (r.getInt(1), r.getLong(2)))
     assert(sigs.exists(_._2.nonEmpty))
     sigs.foreach { case (attr, sig) =>
@@ -111,6 +113,14 @@ class TusSpec extends MalformedLakes {
       assert(res.ranked.map(_.rank) == (1 to res.ranked.size), "ranks leave a gap")
     }
     assert(!member.ranked.exists(_.sTable == t.id))
+  }
+
+  test("queryTable rejects a target whose table id is null or empty") {
+    val t = lake.tables.head
+    Seq[(String, String)]((null, "null table id"), ("", "empty table id")).foreach { case (id, what) =>
+      val e = intercept[IllegalArgumentException](Tus.queryTable(idx, t.copy(id = id), excludeId = Some(t.id)))
+      assert(e.getMessage.contains(what), e.getMessage)
+    }
   }
 
   test("queryAll rejects a table the index does not hold, and answers an all-numeric one with nothing") {

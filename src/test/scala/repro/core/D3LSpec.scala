@@ -186,6 +186,14 @@ class D3LSpec extends MalformedLakes {
     assert(res.alignments.filter(col("s_table") === t.id).count() == 0)
   }
 
+  test("queryTable rejects a target whose table id is null or empty") {
+    val t = lake.tables(3)
+    Seq[(String, String)]((null, "null table id"), ("", "empty table id")).foreach { case (id, what) =>
+      val e = intercept[IllegalArgumentException](D3L.queryTable(spark, idx, t.copy(id = id), excludeId = Some(t.id)))
+      assert(e.getMessage.contains(what), e.getMessage)
+    }
+  }
+
   test("QueryResult builds each frame once, on its first access") {
     // Without a session no frame can be built: reading the values builds none.
     val values = new D3L.QueryResult(null, result.ranked, result.aligned)

@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, DataType}
 import repro.{Oracle, SparkSpec}
 import repro.lake.{Generators, LakeColumn, LakeDf, LakeTable}
 import repro.lsh.{Banding, MinHash}
@@ -268,5 +270,25 @@ class FeatureExtractionSpec extends SparkSpec {
       .collect().map(_.getString(0)).toSet
     assert(evs == Set(Evidence.V, Evidence.F, Evidence.E))
     assert(i2.serving.attrs.head.buckets(Evidence.indexed.indexOf(Evidence.N)).isEmpty)
+  }
+
+  test("Table II's six frames keep their column names, types and nullability") {
+    def typeOf(t: DataType): String = t match {
+      case ArrayType(e, containsNull) => s"array<${typeOf(e)}${if (containsNull) "" else " NOT NULL"}>"
+      case t => t.simpleString
+    }
+    // A Parquet footer records each column's nullability, array elements' too.
+    def columns(df: DataFrame) = df.schema.fields.toSeq.map(f => s"${f.name} ${typeOf(f.dataType)}${if (f.nullable) "" else " NOT NULL"}")
+    assert(columns(idx.catalog) == Seq("attr string", "table_id string", "col_idx int NOT NULL", "col_name string",
+      "n_values bigint NOT NULL", "n_distinct bigint NOT NULL", "null_frac double NOT NULL", "avg_len double",
+      "numeric_frac double NOT NULL", "is_numeric boolean NOT NULL", "tset_size bigint NOT NULL"))
+    assert(columns(idx.signatures) == Seq("attr string", "evidence string", "sig array<bigint NOT NULL>",
+      "table_id string", "col_idx int NOT NULL"))
+    assert(columns(idx.buckets) == Seq("evidence string", "band int NOT NULL", "bucket bigint NOT NULL",
+      "attr string", "table_id string"))
+    assert(columns(idx.numericProfiles) == Seq("attr string", "sample array<double NOT NULL>", "table_id string",
+      "col_idx int NOT NULL"))
+    assert(columns(idx.subjects) == Seq("table_id string", "col_idx int NOT NULL", "attr string"))
+    assert(columns(idx.tokenEmbeddings) == Seq("token string", "vec array<float NOT NULL>"))
   }
 }

@@ -43,6 +43,22 @@ class MinHashSpec extends SparkSpec with PropSupport {
     }
   }
 
+  test("property: signature equals MinHashReference's hash-outer loop, on token sets and on hashes near p") {
+    val tokens = Gen.resize(30, Gen.listOf(Gen.frequency(4 -> textValues.map(v => if (v == null) "" else v),
+      1 -> Gen.oneOf("a", "b", "street"))))
+    forAllGen(tokens, minSuccessful = 100) { ts =>
+      assert(MinHash.signature(ts).toSeq == MinHashReference.signature(ts).toSeq, ts)
+    }
+    val p = (1L << 61) - 1
+    val hash = Gen.frequency(2 -> Gen.choose(0L, p - 1), 2 -> Gen.choose(p - 64, p - 1), 1 -> Gen.choose(0L, 64L))
+    forAllGen(Gen.resize(12, Gen.listOf(hash)).map(_.toArray), minSuccessful = 200) { xs =>
+      val sig = Array.fill(MinHash.NumHashes)(MinHash.EmptySentinel)
+      (xs ++ xs.take(2)).foreach(MinHash.include(sig, _))
+      assert(sig.toSeq == MinHashReference.ofHashes(xs).toSeq, xs.mkString(","))
+    }
+    assert(MinHash.signature(Nil).toSeq == MinHashReference.ofHashes(Array.emptyLongArray).toSeq)
+  }
+
   test("signature has 256 components") {
     assert(MinHash.signature(Seq("a", "b")).length == 256)
   }
